@@ -54,6 +54,7 @@ from .insurance import (
     classify,
     classify_detailed,
     fair_principle,
+    is_member,
     loading_principle,
     make_contract,
     premium,

@@ -40,9 +40,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 
 from .decompose import deductible_triple, proportional_triple, split_zero_mean
 from .insurance import (
-    InsuranceKind,
     PremiumPrinciple,
-    classify,
+    is_member,
     make_contract,
 )
 from .orders import MpsStep, better_hedge, concave_order
@@ -97,6 +96,8 @@ class SearchBudget:
     value_grid: tuple[Fraction, ...] = field(default_factory=_default_grid)
 
     def __post_init__(self) -> None:
+        if self.max_n < 2:
+            raise ValueError("max_n must be >= 2")
         if self.exhaustive_n > self.max_n:
             raise ValueError("exhaustive_n must not exceed max_n")
         if self.trials < 0:
@@ -459,9 +460,7 @@ def check_strong_risk_aversion(m: PreferenceModel, budget: SearchBudget) -> Cert
 
 
 def _kind_member(kind: str, f: Payoff, w: Payoff) -> bool:
-    if kind == "hedging":
-        raise AssertionError("hedging handled separately")
-    return InsuranceKind.from_tag(kind) in classify(f, w)
+    return is_member(kind, f, w)
 
 
 def _random_instance(

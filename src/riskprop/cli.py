@@ -165,13 +165,16 @@ def _run_order(args: argparse.Namespace) -> tuple[Any, int]:
     if not wanted:
         wanted = ["cv", "fsd", "mps"]
     out: dict[str, Any] = {}
-    if "cv" in wanted:
-        out["cv"] = concave_order(f, g)
-    if "fsd" in wanted:
-        out["fsd"] = fsd(f, g)
-    if "mps" in wanted:
-        step = recognize_mps(f, g)
-        out["mps"] = S.step_to_obj(step) if step else None
+    try:
+        if "cv" in wanted:
+            out["cv"] = concave_order(f, g)
+        if "fsd" in wanted:
+            out["fsd"] = fsd(f, g)
+        if "mps" in wanted:
+            step = recognize_mps(f, g)
+            out["mps"] = S.step_to_obj(step) if step else None
+    except ValueError as exc:
+        raise S.InputError(str(exc))
     return out, EXIT_OK
 
 

@@ -207,6 +207,7 @@ def proportional_triple(f: Payoff, step: MpsStep) -> InsuranceTriple:
     values; the contract covers the fraction ``-1/a`` of the loss, i.e.
     percentage excess ``1 + 1/a`` in ``(0, 1)``, at premium zero.
     """
+    step.check_states(f)
     m1, m2 = f[step.donor], f[step.recipient]
     if step.delta == 0 or m1 == m2:
         raise ValueError(
@@ -244,6 +245,7 @@ def deductible_triple(f: Payoff, step: MpsStep) -> InsuranceTriple:
     ``min((-w_tilde - xi)^+, 2*half) - half`` with deductible
     ``xi = -f[recipient] - half``, limit ``2*half``, premium ``half``.
     """
+    step.check_states(f)
     m1, m2 = f[step.donor], f[step.recipient]
     if m1 > m2:
         raise ValueError("step does not apply: donor value exceeds recipient value")

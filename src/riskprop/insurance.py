@@ -31,6 +31,7 @@ __all__ = [
     "make_contract",
     "classify",
     "classify_detailed",
+    "is_member",
     "premium",
     "fair_principle",
     "loading_principle",
@@ -230,25 +231,31 @@ def _fit_indemnity(f: Payoff, w: Payoff) -> Optional[dict]:
     return {"schedule": tuple(points), "premium": Fraction(0)}
 
 
+def _fit_contingency(f: Payoff, w: Payoff) -> Optional[dict]:
+    return {} if counter_monotone(f, w) else None
+
+
+# kind -> fitter returning the fitted parameters, or None for a non-member
+_FITTERS: dict[InsuranceKind, Callable[[Payoff, Payoff], Optional[dict]]] = {
+    InsuranceKind.FULL: _fit_full,
+    InsuranceKind.PROPORTIONAL: _fit_proportional,
+    InsuranceKind.DEDUCTIBLE_LIMIT: _fit_deductible_limit,
+    InsuranceKind.INDEMNITY_SCHEDULE: _fit_indemnity,
+    InsuranceKind.CONTINGENCY_SCHEDULE: _fit_contingency,
+}
+
+
+def is_member(kind: Union[str, InsuranceKind], f: Payoff, w: Payoff) -> bool:
+    """Whether ``f`` belongs to one insurance class for risk ``w``; runs only that class's fitter."""
+    f._check_same_length(w)
+    return _FITTERS[InsuranceKind.from_tag(kind)](f, w) is not None
+
+
 def classify_detailed(f: Payoff, w: Payoff) -> dict[InsuranceKind, dict]:
     """Every insurance class ``f`` belongs to for risk ``w``, with fitted parameters."""
     f._check_same_length(w)
-    out: dict[InsuranceKind, dict] = {}
-    fit = _fit_full(f, w)
-    if fit is not None:
-        out[InsuranceKind.FULL] = fit
-    fit = _fit_proportional(f, w)
-    if fit is not None:
-        out[InsuranceKind.PROPORTIONAL] = fit
-    fit = _fit_deductible_limit(f, w)
-    if fit is not None:
-        out[InsuranceKind.DEDUCTIBLE_LIMIT] = fit
-    fit = _fit_indemnity(f, w)
-    if fit is not None:
-        out[InsuranceKind.INDEMNITY_SCHEDULE] = fit
-    if counter_monotone(f, w):
-        out[InsuranceKind.CONTINGENCY_SCHEDULE] = {}
-    return out
+    fits = ((kind, _FITTERS[kind](f, w)) for kind in KIND_ORDER)
+    return {kind: fit for kind, fit in fits if fit is not None}
 
 
 def classify(f: Payoff, w: Payoff) -> frozenset[InsuranceKind]:

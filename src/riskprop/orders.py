@@ -52,10 +52,14 @@ class MpsStep:
             raise ValueError(f"delta must be >= 0, got {d}")
         object.__setattr__(self, "delta", d)
 
+    def check_states(self, f: Payoff) -> None:
+        """Raise ``ValueError`` naming the donor or recipient state that ``f`` does not have."""
+        for name, state in (("donor", self.donor), ("recipient", self.recipient)):
+            if state > len(f):
+                raise ValueError(f"step {name} state {state} exceeds payoff length {len(f)}")
+
     def apply(self, f: Payoff) -> Payoff:
-        n = len(f)
-        if self.donor > n or self.recipient > n:
-            raise ValueError(f"step states exceed payoff length {n}")
+        self.check_states(f)
         if f[self.donor] > f[self.recipient]:
             raise ValueError(
                 f"step does not apply: f[{self.donor}]={f[self.donor]} exceeds "

@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from .space import Payoff, RationalLike, as_fraction, expectation, variance
@@ -54,25 +55,18 @@ class PiecewiseLinearFn:
         pts = tuple((as_fraction(x), as_fraction(y)) for x, y in self.breakpoints)
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
-        xs = [x for x, _ in pts]
+        xs = tuple(x for x, _ in pts)
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoint abscissae must be strictly increasing")
         object.__setattr__(self, "breakpoints", pts)
+        # derived once; not dataclass fields, so eq, hash and repr see only the breakpoints
+        object.__setattr__(self, "xs", xs)
+        slopes = tuple((y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(pts, pts[1:]))
+        object.__setattr__(self, "slopes", slopes)
 
     @classmethod
     def identity(cls) -> "PiecewiseLinearFn":
         return cls(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
-
-    @property
-    def xs(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.breakpoints)
-
-    @property
-    def slopes(self) -> tuple[Fraction, ...]:
-        pts = self.breakpoints
-        return tuple(
-            (y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(pts, pts[1:])
-        )
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = as_fraction(x)
@@ -292,32 +286,29 @@ def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float) -> fl
 
 
 def _rho_eu(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> Fraction:
-    """Exact root of ``mean(u(f - r)) = mean(u(g))`` in ``r``.
+    """Exact root of ``mean(u(f - r)) = mean(u(g))`` in ``r``, in one sweep over the kinks.
 
-    The left side is strictly decreasing and piecewise linear in ``r``
-    with kinks only where some ``f(s) - r`` crosses a breakpoint of
-    ``u``; locate the sign change over the kink grid and solve the affine
-    piece.
+    ``phi(r) = sum(u(f(s) - r)) - len(f) * mean(u(g))`` is strictly
+    decreasing and piecewise linear, with slope ``-D`` where ``D`` sums
+    the slopes of ``u`` active at each ``f(s) - r``.  It is evaluated once,
+    at ``r = min f - max x`` where every argument sits on the top piece;
+    the sweep then moves ``r`` up through the interior kinks
+    ``f(s) - x_j`` in increasing order, updating ``phi`` by ``-D * dr``
+    and ``D`` by ``slopes[j-1] - slopes[j]``, and solves the affine piece
+    on which ``phi`` first drops to zero or below.
     """
-    target = eu_value(u, g)
-
-    def phi(r: Fraction) -> Fraction:
-        return eu_value(u, f - r) - target
-
-    kinks = sorted({fv - bx for fv in f.values for bx in u.xs})
-    lo_slope = u.slopes[-1]  # active when r is far left: all args on the top piece
-    hi_slope = u.slopes[0]
-    first, last = kinks[0], kinks[-1]
-    phi_first = phi(first)
-    if phi_first <= 0:
-        return first + phi_first / lo_slope
-    prev_k, prev_v = first, phi_first
-    for k in kinks[1:]:
-        v = phi(k)
-        if v <= 0:
-            return prev_k + (k - prev_k) * prev_v / (prev_v - v)
-        prev_k, prev_v = k, v
-    return last + phi(last) / hi_slope
+    slopes = u.slopes
+    r = f.min_value() - u.xs[-1]
+    value = sum(u(v - r) for v in f.values) - eu_value(u, g) * len(f)
+    active = slopes[-1] * len(f)
+    interior = [(x, slopes[j - 1] - slopes[j]) for j, x in enumerate(u.xs[1:-1], 1)]
+    kinks = sorted(((v - x, dd) for v in f.values for x, dd in interior), key=itemgetter(0))
+    for k, dd in kinks:
+        at_k = value - active * (k - r)
+        if at_k <= 0:
+            break
+        r, value, active = k, at_k, active + dd
+    return r + value / active
 
 
 def certainty_equivalent(m: PreferenceModel, f: Payoff) -> Union[Fraction, float]:

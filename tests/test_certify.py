@@ -230,6 +230,10 @@ class TestReports:
         with pytest.raises(ValueError):
             SearchBudget(trials=-1)
 
+    def test_budget_rejects_max_n_below_two(self):
+        with pytest.raises(ValueError, match="max_n must be >= 2"):
+            SearchBudget(max_n=1, exhaustive_n=1)
+
     def test_witnesses_are_small(self, models):
         # shrinking keeps counterexamples readable
         r = check_propensity("pr", models["dual_nonconvex"], BUDGET)

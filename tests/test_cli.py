@@ -251,6 +251,29 @@ class TestInputHandling:
         bad = files["write"]("badn.json", {"n": 3, "values": ["1", "2"]})
         assert main(["classify", bad, files["g"]]) == 2
 
+    def test_order_length_mismatch(self, files, capsys):
+        three = files["write"]("f3.json", {"n": 3, "values": ["1", "2", "3"]})
+        assert main(["order", three, files["g"]]) == 2
+        err = capsys.readouterr().err
+        assert "length mismatch: 3 vs 2 states" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["proportional", "deductible"])
+    def test_decompose_state_out_of_range(self, files, capsys, mode):
+        three = files["write"]("f3.json", {"n": 3, "values": ["1", "2", "3"]})
+        assert main(["decompose", mode, three, "1", "9", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "recipient state 9 exceeds payoff length 3" in err
+        assert "Traceback" not in err
+
+    def test_budget_max_n_below_two(self, files, capsys):
+        argv = ["certify", "--property", "weak_ra", "--model", files["ev"],
+                "--max-n", "1", "--exhaustive-n", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "budget: max_n must be >= 2" in err
+        assert "Traceback" not in err
+
     def test_bad_model_type(self, files):
         bad = files["write"]("badm.json", {"type": "nope"})
         assert main(["preference", bad, "--value", files["f"]]) == 2

@@ -169,6 +169,14 @@ class TestProportionalTriple:
             proportional_triple(P(0, 1), MpsStep(1, 2, F(0)))
 
 
+@pytest.mark.parametrize("maker", [proportional_triple, deductible_triple])
+def test_triples_reject_states_beyond_the_payoff(maker):
+    with pytest.raises(ValueError, match="recipient state 9 exceeds payoff length 3"):
+        maker(P(1, 2, 3), MpsStep(1, 9, F(1)))
+    with pytest.raises(ValueError, match="donor state 4 exceeds payoff length 3"):
+        maker(P(1, 2, 3), MpsStep(4, 1, F(1)))
+
+
 class TestDeductibleTriple:
     def test_two_state_example(self):
         f = P(0, 2)

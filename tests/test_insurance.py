@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskprop import (
     InsuranceKind,
@@ -11,10 +12,18 @@ from riskprop import (
     classify_detailed,
     expectation,
     fair_principle,
+    is_member,
     loading_principle,
     make_contract,
     premium,
 )
+from riskprop.insurance import (
+    _fit_deductible_limit,
+    _fit_full,
+    _fit_indemnity,
+    _fit_proportional,
+)
+from riskprop.orders import counter_monotone
 from conftest import P
 
 FI = InsuranceKind.FULL
@@ -22,6 +31,34 @@ PR = InsuranceKind.PROPORTIONAL
 DL = InsuranceKind.DEDUCTIBLE_LIMIT
 IS = InsuranceKind.INDEMNITY_SCHEDULE
 CS = InsuranceKind.CONTINGENCY_SCHEDULE
+
+GRID = [F(k) for k in range(-3, 4)]
+
+
+def _random_contract(rng: random.Random, kinds):
+    """A random risk on ``GRID``, a kind drawn from ``kinds``, and a contract of that kind."""
+    n = rng.randint(2, 5)
+    w = Payoff(tuple(rng.choice(GRID) for _ in range(n)))
+    pi = rng.choice(GRID)
+    kind = rng.choice(kinds)
+    if kind is FI:
+        return kind, w, make_contract(w, kind, premium=pi)
+    if kind is PR:
+        return kind, w, make_contract(w, kind, premium=pi, excess=F(rng.randint(0, 3), 4))
+    if kind is DL:
+        return kind, w, make_contract(
+            w, kind, premium=pi, deductible=rng.choice(GRID), limit=abs(rng.choice(GRID))
+        )
+    if kind is IS:
+        losses = sorted(set((-w).values))
+        payments = sorted(rng.choice(GRID) for _ in losses)
+        return kind, w, make_contract(w, kind, premium=pi, schedule=list(zip(losses, payments)))
+    draws = sorted((rng.choice(GRID) for _ in range(n)), reverse=True)
+    order = sorted(range(n), key=lambda i: (w.values[i], i))
+    vals = [F(0)] * n
+    for rank, i in enumerate(order):
+        vals[i] = draws[rank]
+    return kind, w, make_contract(w, kind, payoff=Payoff(tuple(vals)))
 
 
 class TestMakeContract:
@@ -63,31 +100,8 @@ class TestMakeContract:
 
     def test_output_classifies_into_declared_kind(self):
         rng = random.Random(31)
-        grid = [F(k) for k in range(-3, 4)]
         for _ in range(150):
-            n = rng.randint(2, 5)
-            w = Payoff(tuple(rng.choice(grid) for _ in range(n)))
-            pi = rng.choice(grid)
-            kind = rng.choice(list(InsuranceKind))
-            if kind is FI:
-                c = make_contract(w, kind, premium=pi)
-            elif kind is PR:
-                c = make_contract(w, kind, premium=pi, excess=F(rng.randint(0, 3), 4))
-            elif kind is DL:
-                c = make_contract(
-                    w, kind, premium=pi, deductible=rng.choice(grid), limit=abs(rng.choice(grid))
-                )
-            elif kind is IS:
-                losses = sorted(set((-w).values))
-                payments = sorted(rng.choice(grid) for _ in losses)
-                c = make_contract(w, kind, premium=pi, schedule=list(zip(losses, payments)))
-            else:
-                draws = sorted((rng.choice(grid) for _ in range(n)), reverse=True)
-                order = sorted(range(n), key=lambda i: (w.values[i], i))
-                vals = [F(0)] * n
-                for rank, i in enumerate(order):
-                    vals[i] = draws[rank]
-                c = make_contract(w, kind, payoff=Payoff(tuple(vals)))
+            kind, w, c = _random_contract(rng, list(InsuranceKind))
             assert kind in classify(c.payoff, w), (kind, w, c.payoff)
 
 
@@ -196,6 +210,71 @@ class TestClassify:
                 )
                 assert rebuilt == f.values
                 assert params["limit"] >= 0
+
+
+def _classify_detailed_by_hand(f: Payoff, w: Payoff) -> dict:
+    """The earlier hand-written ``classify_detailed`` body: the oracle for the fitter table."""
+    out = {}
+    fit = _fit_full(f, w)
+    if fit is not None:
+        out[FI] = fit
+    fit = _fit_proportional(f, w)
+    if fit is not None:
+        out[PR] = fit
+    fit = _fit_deductible_limit(f, w)
+    if fit is not None:
+        out[DL] = fit
+    fit = _fit_indemnity(f, w)
+    if fit is not None:
+        out[IS] = fit
+    if counter_monotone(f, w):
+        out[CS] = {}
+    return out
+
+
+def _assert_membership_agrees(f: Payoff, w: Payoff) -> None:
+    kinds = classify(f, w)
+    for kind in InsuranceKind:
+        assert is_member(kind, f, w) == is_member(kind.value, f, w) == (kind in kinds), (kind, f, w)
+    detailed = classify_detailed(f, w)
+    expected = _classify_detailed_by_hand(f, w)
+    assert detailed == expected and list(detailed) == list(expected), (f, w)
+
+
+small_payoffs = st.lists(
+    st.fractions(min_value=-2, max_value=2, max_denominator=2), min_size=1, max_size=5
+)
+
+
+class TestIsMember:
+    """``is_member`` answers one kind as ``classify`` does; the table keeps ``classify_detailed``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_payoffs, st.data())
+    def test_random_pairs(self, f_vals, data):
+        n = len(f_vals)
+        w_vals = data.draw(st.lists(st.sampled_from(GRID[1:-1]), min_size=n, max_size=n))
+        _assert_membership_agrees(Payoff(tuple(f_vals)), Payoff(tuple(w_vals)))
+
+    @pytest.mark.parametrize("kind", list(InsuranceKind), ids=lambda k: k.value)
+    def test_contracts_and_swapped_rearrangements(self, kind):
+        rng = random.Random(f"is_member:{kind.value}")
+        for _ in range(40):
+            _, w, c = _random_contract(rng, [kind])
+            f = c.payoff
+            assert is_member(kind, f, w)
+            _assert_membership_agrees(f, w)
+            for s, t in combinations(range(1, len(f) + 1), 2):
+                perm = list(range(1, len(f) + 1))
+                perm[s - 1], perm[t - 1] = t, s
+                _assert_membership_agrees(f.permute(perm), w)
+
+    def test_length_mismatch_and_unknown_kind(self):
+        for kind in InsuranceKind:
+            with pytest.raises(ValueError, match="length mismatch"):
+                is_member(kind, P(1), P(1, 2))
+        with pytest.raises(ValueError, match="unknown insurance kind"):
+            is_member("hedging", P(1, 2), P(1, 2))
 
 
 class TestPremiumPrinciples:

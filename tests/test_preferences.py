@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskprop import (
     Comparison,
@@ -19,6 +20,7 @@ from riskprop import (
     mv_compare,
     rho,
 )
+from riskprop.preferences import _rho_eu
 from conftest import P, concave_utility, convex_distortion
 
 
@@ -218,3 +220,81 @@ class TestCustomModel:
         broken = custom_model(lambda f: -float(expectation(f)), name="anti-monotone")
         with pytest.raises(ValueError):
             rho(broken, P(0, 0), P(5, 5))
+
+
+def _rho_eu_kink_scan(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> F:
+    """The earlier ``_rho_eu``: evaluate phi at every kink and interpolate at the sign change."""
+    target = eu_value(u, g)
+
+    def phi(r):
+        return eu_value(u, f - r) - target
+
+    kinks = sorted({fv - bx for fv in f.values for bx in u.xs})
+    first, last = kinks[0], kinks[-1]
+    phi_first = phi(first)
+    if phi_first <= 0:
+        return first + phi_first / u.slopes[-1]
+    prev_k, prev_v = first, phi_first
+    for k in kinks[1:]:
+        v = phi(k)
+        if v <= 0:
+            return prev_k + (k - prev_k) * prev_v / (prev_v - v)
+        prev_k, prev_v = k, v
+    return last + phi(last) / u.slopes[0]
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def increasing_utilities(draw, min_points=2, max_points=5):
+    xs = sorted(draw(st.sets(rationals, min_size=min_points, max_size=max_points)))
+    rises = draw(st.lists(
+        st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4),
+        min_size=len(xs), max_size=len(xs),
+    ))
+    ys, y = [], F(0)
+    for rise in rises:
+        y += rise
+        ys.append(y)
+    return PiecewiseLinearFn(tuple(zip(xs, ys)))
+
+
+@st.composite
+def payoff_pairs(draw, max_n=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vals = st.lists(rationals, min_size=n, max_size=n).map(lambda vs: Payoff(tuple(vs)))
+    return draw(vals), draw(vals)
+
+
+class TestExactCompensation:
+    """``_rho_eu`` solves ``sum(u(f - r)) = sum(u(g))`` exactly and matches the kink scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(increasing_utilities(), payoff_pairs())
+    def test_solves_equation_and_matches_scan(self, u, fg):
+        f, g = fg
+        r = _rho_eu(u, g, f)
+        assert sum(u(v - r) for v in f.values) == sum(u(v) for v in g.values)
+        assert r == _rho_eu_kink_scan(u, g, f)
+
+    @settings(deadline=None)
+    @given(increasing_utilities(), payoff_pairs(max_n=1))
+    def test_single_state(self, u, fg):
+        f, g = fg
+        r = _rho_eu(u, g, f)
+        assert u(f[1] - r) == u(g[1])
+        assert r == f[1] - g[1] == _rho_eu_kink_scan(u, g, f)
+
+    @settings(deadline=None)
+    @given(increasing_utilities(max_points=2), payoff_pairs())
+    def test_affine_utility_without_interior_kink(self, u, fg):
+        f, g = fg
+        assert _rho_eu(u, g, f) == expectation(f) - expectation(g) == _rho_eu_kink_scan(u, g, f)
+
+    @settings(deadline=None)
+    @given(increasing_utilities(min_points=3), payoff_pairs(), st.data())
+    def test_root_on_a_kink(self, u, fg, data):
+        f, _ = fg
+        k = data.draw(st.sampled_from([v - x for v in f.values for x in u.xs]))
+        assert _rho_eu(u, f - k, f) == k == _rho_eu_kink_scan(u, f - k, f)
