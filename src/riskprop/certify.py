@@ -98,6 +98,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_n < 2:
             raise ValueError("max_n must be >= 2")
+        if self.exhaustive_n > 7:  # 7! = 5,040 rearrangements per trial; larger n is sampled
+            raise ValueError("exhaustive_n must be <= 7")
         if self.exhaustive_n > self.max_n:
             raise ValueError("exhaustive_n must not exceed max_n")
         if self.trials < 0:

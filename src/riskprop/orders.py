@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .space import Payoff, RationalLike, as_fraction, equal_in_distribution
 
@@ -172,31 +172,16 @@ def better_hedge(f: Payoff, g: Payoff, w: Payoff) -> bool:
     return True
 
 
-def _shell_assignments(values: list[Fraction], sizes: list[int]) -> Iterator[list[list[Fraction]]]:
-    """Distinct ways to split a value multiset into ordered groups of given sizes."""
-    if not sizes:
-        yield []
-        return
-    k = sizes[0]
-    seen = set()
-    for picked in combinations(range(len(values)), k):
-        group = tuple(sorted(values[i] for i in picked))
-        if group in seen:
-            continue
-        seen.add(group)
-        rest = [values[i] for i in range(len(values)) if i not in picked]
-        for tail in _shell_assignments(rest, sizes[1:]):
-            yield [list(group)] + tail
-
-
 def is_best_hedge(f: Payoff, w: Payoff) -> bool:
     """Whether ``f`` is a better hedge for ``w`` than every payoff with its distribution.
 
-    Quantifies over all rearrangements of ``f``.  Two reductions keep this
-    exact and affordable: the relation depends on a rearrangement only
-    through the value multisets it places on each slab of the ordered
-    ``w``-cuts, and the counter-monotone rearrangement of ``f`` along
-    ``w`` is checked first since it is the hardest competitor.
+    Quantifies over all rearrangements of ``f`` by checking one: the
+    counter-monotone rearrangement, which places the largest values of
+    ``f`` on the lowest values of ``w``.  Every cut ``w <= level`` is a
+    prefix of the states sorted by ``w``, so on it that rearrangement
+    holds the top-k values of ``f``, which first-order dominate the k
+    values any rearrangement ``g`` puts there: ``count_cm <= count_g`` at
+    every payment, and beating the counter-monotone one beats every ``g``.
     """
     f._check_same_length(w)
     order = sorted(range(len(w)), key=lambda i: (w.values[i], i))
@@ -204,29 +189,4 @@ def is_best_hedge(f: Payoff, w: Payoff) -> bool:
     countermono_vals = [Fraction(0)] * len(w)
     for rank, i in enumerate(order):
         countermono_vals[i] = asc[len(w) - 1 - rank]
-    if not better_hedge(f, Payoff(tuple(countermono_vals)), w):
-        return False
-
-    levels = sorted(set(w.values))
-    cuts = [_cut_states(w, lv) for lv in levels]
-    sizes = [len(cuts[0])] + [len(b) - len(a) for a, b in zip(cuts, cuts[1:])]
-    payments = sorted(set(f.values))
-    f_cut_sorted = [sorted(f.values[i] for i in cut) for cut in cuts]
-
-    for groups in _shell_assignments(list(f.values), sizes):
-        g_acc: list[Fraction] = []
-        ok = True
-        for cut_idx, group in enumerate(groups):
-            g_acc = sorted(g_acc + group)
-            f_sorted = f_cut_sorted[cut_idx]
-            for t in payments:
-                count_f = sum(1 for v in f_sorted if v <= t)
-                count_g = sum(1 for v in g_acc if v <= t)
-                if count_f > count_g:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            return False
-    return True
+    return better_hedge(f, Payoff(tuple(countermono_vals)), w)

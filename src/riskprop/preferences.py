@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from math import lcm
 from typing import Callable, Optional, Union
 
 from .space import Payoff, RationalLike, as_fraction, expectation, variance
@@ -59,10 +59,21 @@ class PiecewiseLinearFn:
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoint abscissae must be strictly increasing")
         object.__setattr__(self, "breakpoints", pts)
-        # derived once; not dataclass fields, so eq, hash and repr see only the breakpoints
-        object.__setattr__(self, "xs", xs)
         slopes = tuple((y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(pts, pts[1:]))
-        object.__setattr__(self, "slopes", slopes)
+        icepts = [y - s * x for (x, y), s in zip(pts, slopes)]
+        xden = lcm(*(x.denominator for x in xs))
+        q = lcm(*(c.denominator for c in icepts + list(slopes)))
+        # derived once; not dataclass fields, so eq and repr see only the breakpoints.  The
+        # integer form holds the abscissae over their lcm ``_xden`` and piece ``j`` as
+        # ``(_icepts[j] + _islopes[j] * x) / _q``, with ``_q`` the lcm of its denominators.
+        vars(self).update(
+            xs=xs, slopes=slopes, _hash=hash((pts,)), _xden=xden, _xnums=_numerators(xs, xden),
+            _q=q, _icepts=_numerators(icepts, q), _islopes=_numerators(slopes, q),
+        )
+
+    def __hash__(self) -> int:
+        """Precomputed: caches keyed on a distortion hash it on every lookup."""
+        return self._hash
 
     @classmethod
     def identity(cls) -> "PiecewiseLinearFn":
@@ -70,19 +81,25 @@ class PiecewiseLinearFn:
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = as_fraction(x)
-        pts = self.breakpoints
-        idx = bisect.bisect_left(self.xs, x)
-        if idx == 0:
-            (x1, y1), s = pts[0], self.slopes[0]
-            return y1 + s * (x - x1)
-        if idx == len(pts):
-            (x2, y2), s = pts[-1], self.slopes[-1]
-            return y2 + s * (x - x2)
-        x2, y2 = pts[idx]
-        if x == x2:
-            return y2
-        x1, y1 = pts[idx - 1]
-        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+        num, den = x.numerator, x.denominator
+        xnums = self._xnums
+        # floor(x * _xden) lies below an integer abscissa exactly when x * _xden does
+        j = bisect.bisect_right(xnums, num * self._xden // den, 1, len(xnums) - 1) - 1
+        return Fraction(self._icepts[j] * den + self._islopes[j] * num, self._q * den)
+
+    def _scaled_xnums(self, d: int) -> list[int]:
+        """Abscissae as integers over ``d``, a multiple of ``_xden``."""
+        return [x * (d // self._xden) for x in self._xnums]
+
+    def _scaled_sum(self, nums: list[int], d: int) -> int:
+        """``q * d * sum(u(v / d) for v in nums)``, exact, for ``d`` a multiple of ``_xden``."""
+        xnums, icepts, islopes = self._scaled_xnums(d), self._icepts, self._islopes
+        hi = len(xnums) - 1
+        total = 0
+        for v in nums:
+            j = bisect.bisect_right(xnums, v, 1, hi) - 1  # the piece holding v
+            total += icepts[j] * d + islopes[j] * v
+        return total
 
     def is_concave(self) -> bool:
         s = self.slopes
@@ -119,27 +136,44 @@ class PiecewiseLinearFn:
         return x1 + (x2 - x1) * (y - y1) / (y2 - y1)
 
 
+def _numerators(values, d: int) -> list[int]:
+    """Numerators of the rationals ``values`` over ``d``, a multiple of every denominator."""
+    return [v.numerator * (d // v.denominator) for v in values]
+
+
 def eu_value(u: PiecewiseLinearFn, f: Payoff) -> Fraction:
-    """Average utility ``(1/n) * sum(u(f(s)))``, exact."""
-    return Fraction(sum(u(v) for v in f.values), len(f))
+    """Average utility ``(1/n) * sum(u(f(s)))``, exact, summed as integers over one denominator."""
+    d = lcm(u._xden, *(v.denominator for v in f.values))
+    return Fraction(u._scaled_sum(_numerators(f.values, d), d), u._q * d * len(f))
 
 
 @lru_cache(maxsize=1024)
-def _distortion_weights(g: Distortion, n: int) -> tuple[Fraction, ...]:
-    """Increments ``g(k/n) - g((k-1)/n)``, validated as a distortion on the grid."""
+def _distortion_weights(g: Distortion, n: int) -> tuple[tuple, Optional[int]]:
+    """Increments ``g(k/n) - g((k-1)/n)``, validated, as integers over their lcm when rational.
+
+    Non-rational increments (a float-valued callable) come back as they are, over ``None``.
+    """
     grid = [g(Fraction(k, n)) for k in range(n + 1)]
     if grid[0] != 0 or grid[-1] != 1:
         raise ValueError("distortion must satisfy g(0) = 0 and g(1) = 1")
     if any(a > b for a, b in zip(grid, grid[1:])):
         raise ValueError("distortion must be increasing")
-    return tuple(b - a for a, b in zip(grid, grid[1:]))
+    weights = [b - a for a, b in zip(grid, grid[1:])]
+    if not all(isinstance(wt, (int, Fraction)) for wt in weights):
+        return tuple(weights), None
+    wden = lcm(*(wt.denominator for wt in weights))
+    return tuple(_numerators(weights, wden)), wden
 
 
-def dual_value(g: Distortion, f: Payoff) -> Fraction:
+def dual_value(g: Distortion, f: Payoff) -> Union[Fraction, float]:
     """Choquet value: descending values weighted by distortion increments of ``k/n``."""
-    weights = _distortion_weights(g, len(f))
-    ordered = sorted(f.values, reverse=True)
-    return sum((v * wt for v, wt in zip(ordered, weights)), Fraction(0))
+    weights, wden = _distortion_weights(g, len(f))
+    if wden is None:
+        ordered = sorted(f.values, reverse=True)
+        return sum((v * wt for v, wt in zip(ordered, weights)), Fraction(0))
+    d = lcm(*(v.denominator for v in f.values))
+    ordered = sorted(_numerators(f.values, d), reverse=True)
+    return Fraction(sum(v * wt for v, wt in zip(ordered, weights)), d * wden)
 
 
 class Comparison(enum.Enum):
@@ -286,29 +320,30 @@ def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float) -> fl
 
 
 def _rho_eu(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> Fraction:
-    """Exact root of ``mean(u(f - r)) = mean(u(g))`` in ``r``, in one sweep over the kinks.
+    """Exact root of ``mean(u(f - r)) = mean(u(g))`` in ``r``, in one integer sweep over the kinks.
 
-    ``phi(r) = sum(u(f(s) - r)) - len(f) * mean(u(g))`` is strictly
-    decreasing and piecewise linear, with slope ``-D`` where ``D`` sums
-    the slopes of ``u`` active at each ``f(s) - r``.  It is evaluated once,
-    at ``r = min f - max x`` where every argument sits on the top piece;
-    the sweep then moves ``r`` up through the interior kinks
-    ``f(s) - x_j`` in increasing order, updating ``phi`` by ``-D * dr``
-    and ``D`` by ``slopes[j-1] - slopes[j]``, and solves the affine piece
-    on which ``phi`` first drops to zero or below.
+    ``phi(r) = sum(u(f(s) - r)) - sum(u(g(s)))`` is strictly decreasing
+    and piecewise linear, with slope ``-D`` where ``D`` sums the slopes of
+    ``u`` active at each ``f(s) - r``.  With ``d`` the lcm of the
+    denominators of ``f``, ``g`` and the abscissae, the sweep holds the
+    integers ``r * d``, ``phi * q * d`` and ``D * q``.  It evaluates ``phi``
+    at ``r = min f - max x``, where every argument is on the top piece,
+    moves ``r`` up through the interior kinks ``f(s) - x_j`` in order,
+    updating ``phi`` by ``-D * dr`` and ``D`` by ``slopes[j-1] - slopes[j]``,
+    and solves the affine piece on which ``phi`` first drops to <= 0.
     """
-    slopes = u.slopes
-    r = f.min_value() - u.xs[-1]
-    value = sum(u(v - r) for v in f.values) - eu_value(u, g) * len(f)
-    active = slopes[-1] * len(f)
-    interior = [(x, slopes[j - 1] - slopes[j]) for j, x in enumerate(u.xs[1:-1], 1)]
-    kinks = sorted(((v - x, dd) for v in f.values for x, dd in interior), key=itemgetter(0))
-    for k, dd in kinks:
+    d = lcm(u._xden, *(v.denominator for v in f.values), *(v.denominator for v in g.values))
+    fs, xnums, islopes = _numerators(f.values, d), u._scaled_xnums(d), u._islopes
+    r = min(fs) - xnums[-1]
+    value = u._scaled_sum([v - r for v in fs], d) - u._scaled_sum(_numerators(g.values, d), d)
+    active = islopes[-1] * len(fs)
+    interior = [(x, islopes[j - 1] - islopes[j]) for j, x in enumerate(xnums[1:-1], 1)]
+    for k, dd in sorted((v - x, dd) for v in fs for x, dd in interior):
         at_k = value - active * (k - r)
         if at_k <= 0:
             break
         r, value, active = k, at_k, active + dd
-    return r + value / active
+    return Fraction(r * active + value, d * active)
 
 
 def certainty_equivalent(m: PreferenceModel, f: Payoff) -> Union[Fraction, float]:

@@ -36,6 +36,8 @@ def as_fraction(x: RationalLike) -> Fraction:
     meant, and this library never loses precision silently.  Use strings
     ("2.5", "1/3") or ints for literals.
     """
+    if type(x) is Fraction:
+        return x  # immutable, so sharing it is unobservable
     if isinstance(x, float):
         raise TypeError(f"expected an exact rational (int, str, or Fraction), got float {x!r}")
     return Fraction(x)

@@ -234,6 +234,11 @@ class TestReports:
         with pytest.raises(ValueError, match="max_n must be >= 2"):
             SearchBudget(max_n=1, exhaustive_n=1)
 
+    def test_budget_caps_exhaustive_n_at_seven(self):
+        assert SearchBudget(max_n=9, exhaustive_n=7).exhaustive_n == 7
+        with pytest.raises(ValueError, match="exhaustive_n must be <= 7"):
+            SearchBudget(max_n=9, exhaustive_n=8)
+
     def test_witnesses_are_small(self, models):
         # shrinking keeps counterexamples readable
         r = check_propensity("pr", models["dual_nonconvex"], BUDGET)

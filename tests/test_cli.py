@@ -274,6 +274,14 @@ class TestInputHandling:
         assert "budget: max_n must be >= 2" in err
         assert "Traceback" not in err
 
+    def test_budget_exhaustive_n_above_seven(self, files, capsys):
+        argv = ["certify", "--property", "weak_ra", "--model", files["ev"],
+                "--max-n", "9", "--exhaustive-n", "9"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "budget: exhaustive_n must be <= 7" in err
+        assert "Traceback" not in err
+
     def test_bad_model_type(self, files):
         bad = files["write"]("badm.json", {"type": "nope"})
         assert main(["preference", bad, "--value", files["f"]]) == 2

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskprop import (
     MpsStep,
@@ -217,6 +218,21 @@ class TestIsBestHedge:
                 better_hedge(f, Payoff(perm), w) for perm in set(permutations(f.values))
             )
             assert is_best_hedge(f, w) == brute
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_on_tied_levels(self, data):
+        # two- and three-value grids force several states of w onto one level
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        grid = data.draw(st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=2),
+            min_size=2, max_size=3, unique=True,
+        ))
+        values = st.lists(st.sampled_from(grid), min_size=n, max_size=n)
+        w = Payoff(tuple(data.draw(values)))
+        f = Payoff(tuple(data.draw(values)))
+        brute = all(better_hedge(f, Payoff(perm), w) for perm in set(permutations(f.values)))
+        assert is_best_hedge(f, w) == brute
 
 
 class TestConditioningPreservesOrder:

@@ -1,5 +1,7 @@
+import bisect
 import random
 from fractions import Fraction as F
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,6 +287,7 @@ class TestExactCompensation:
         r = _rho_eu(u, g, f)
         assert u(f[1] - r) == u(g[1])
         assert r == f[1] - g[1] == _rho_eu_kink_scan(u, g, f)
+        assert _same(r, _rho_sweep_oracle(u, g, f))
 
     @settings(deadline=None)
     @given(increasing_utilities(max_points=2), payoff_pairs())
@@ -298,3 +301,127 @@ class TestExactCompensation:
         f, _ = fg
         k = data.draw(st.sampled_from([v - x for v in f.values for x in u.xs]))
         assert _rho_eu(u, f - k, f) == k == _rho_eu_kink_scan(u, f - k, f)
+        assert _same(_rho_eu(u, f - k, f), _rho_sweep_oracle(u, f - k, f))
+
+
+# Oracles: the earlier Fraction bodies of ``PiecewiseLinearFn.__call__``,
+# ``eu_value``, ``dual_value`` and ``_rho_eu``, before they ran on integers.
+
+
+def _call_oracle(u: PiecewiseLinearFn, x: F) -> F:
+    pts = u.breakpoints
+    idx = bisect.bisect_left(u.xs, x)
+    if idx == 0:
+        (x1, y1), s = pts[0], u.slopes[0]
+        return y1 + s * (x - x1)
+    if idx == len(pts):
+        (x2, y2), s = pts[-1], u.slopes[-1]
+        return y2 + s * (x - x2)
+    x2, y2 = pts[idx]
+    if x == x2:
+        return y2
+    x1, y1 = pts[idx - 1]
+    return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+
+
+def _eu_oracle(u: PiecewiseLinearFn, f: Payoff) -> F:
+    return F(sum(_call_oracle(u, v) for v in f.values), len(f))
+
+
+def _dual_oracle(g, f: Payoff):
+    n = len(f)
+    grid = [g(F(k, n)) for k in range(n + 1)]
+    weights = [b - a for a, b in zip(grid, grid[1:])]
+    ordered = sorted(f.values, reverse=True)
+    return sum((v * wt for v, wt in zip(ordered, weights)), F(0))
+
+
+def _rho_sweep_oracle(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> F:
+    slopes = u.slopes
+    r = f.min_value() - u.xs[-1]
+    value = sum(_call_oracle(u, v - r) for v in f.values) - _eu_oracle(u, g) * len(f)
+    active = slopes[-1] * len(f)
+    interior = [(x, slopes[j - 1] - slopes[j]) for j, x in enumerate(u.xs[1:-1], 1)]
+    kinks = sorted(((v - x, dd) for v in f.values for x, dd in interior), key=itemgetter(0))
+    for k, dd in kinks:
+        at_k = value - active * (k - r)
+        if at_k <= 0:
+            break
+        r, value, active = k, at_k, active + dd
+    return r + value / active
+
+
+mixed = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def mixed_payoffs(draw, min_n=1, max_n=6):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    return Payoff(tuple(draw(st.lists(mixed, min_size=n, max_size=n))))
+
+
+@st.composite
+def distortions(draw):
+    inner = sorted(draw(st.sets(
+        st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12), max_size=4
+    )))
+    heights = sorted(draw(st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+        min_size=len(inner), max_size=len(inner),
+    )))
+    return PiecewiseLinearFn(((F(0), F(0)),) + tuple(zip(inner, heights)) + ((F(1), F(1)),))
+
+
+def cube(p: F) -> F:
+    return p * p * p
+
+
+def float_square(p: F) -> float:
+    return float(p) ** 2
+
+
+def _same(got, want) -> bool:
+    return got == want and type(got) is type(want)
+
+
+class TestIntegerKernels:
+    """The integer kernels return the earlier Fraction results, in value and type."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(increasing_utilities(), mixed)
+    def test_call_matches_oracle(self, u, x):
+        assert _same(u(x), _call_oracle(u, x))
+
+    @settings(deadline=None)
+    @given(increasing_utilities(), st.data())
+    def test_call_at_breakpoints(self, u, data):
+        x, y = data.draw(st.sampled_from(u.breakpoints))
+        assert _same(u(x), y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(increasing_utilities(), mixed_payoffs())
+    def test_eu_value_matches_oracle(self, u, f):
+        assert _same(eu_value(u, f), _eu_oracle(u, f))
+
+    @settings(max_examples=200, deadline=None)
+    @given(increasing_utilities(), mixed_payoffs(), st.data())
+    def test_rho_eu_matches_sweep(self, u, f, data):
+        g = data.draw(mixed_payoffs(min_n=len(f), max_n=len(f)))
+        assert _same(_rho_eu(u, g, f), _rho_sweep_oracle(u, g, f))
+
+    @settings(max_examples=200, deadline=None)
+    @given(distortions(), mixed_payoffs())
+    def test_dual_value_matches_oracle(self, g, f):
+        assert _same(dual_value(g, f), _dual_oracle(g, f))
+
+    @settings(deadline=None)
+    @given(mixed_payoffs())
+    def test_dual_value_fraction_lambda(self, f):
+        assert _same(dual_value(cube, f), _dual_oracle(cube, f))
+        assert type(dual_value(cube, f)) is F
+
+    @settings(deadline=None)
+    @given(mixed_payoffs())
+    def test_dual_value_float_lambda(self, f):
+        assert _same(dual_value(float_square, f), _dual_oracle(float_square, f))
+        assert type(dual_value(float_square, f)) is float

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from riskprop import (
     Lottery,
     Payoff,
+    PiecewiseLinearFn,
     QuantileTable,
+    as_fraction,
     dyadic_condition,
     equal_in_distribution,
     expectation,
@@ -53,6 +55,40 @@ class TestPayoff:
         assert P(1, 2, 3).permute((3, 1, 2)).values == (F(3), F(1), F(2))
         with pytest.raises(ValueError):
             P(1, 2).permute((1, 1))
+
+
+class TestAsFraction:
+    def test_returns_a_fraction_itself(self):
+        x = F(3, 7)
+        assert as_fraction(x) is x
+
+    def test_converts_int_and_str(self):
+        for raw, want in ((3, F(3)), ("5/2", F(5, 2)), ("-0.25", F(-1, 4))):
+            got = as_fraction(raw)
+            assert got == want and type(got) is F
+
+    def test_fraction_subclass_becomes_a_fraction(self):
+        class Tagged(F):
+            pass
+
+        got = as_fraction(Tagged(1, 2))
+        assert got == F(1, 2) and type(got) is F
+
+    def test_rejects_float(self):
+        with pytest.raises(TypeError):
+            as_fraction(0.5)
+
+
+class TestPiecewiseLinearFnHash:
+    def test_equal_functions_are_interchangeable_keys(self):
+        a = PiecewiseLinearFn(((F(0), F(0)), (F(1, 3), F(1, 4)), (F(1), F(1))))
+        b = PiecewiseLinearFn((("0", 0), ("1/3", "1/4"), (1, "1")))
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        table = {a: "first"}
+        table[b] = "second"
+        assert table == {b: "second"}
+        assert PiecewiseLinearFn.identity() not in table
 
 
 class TestExpectation:
