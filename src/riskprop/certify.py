@@ -27,6 +27,12 @@ Each check runs two phases, in deterministic order:
 The first violation in this deterministic order is minimized (drop
 states, then shrink values toward zero, re-verifying the full predicate
 at each step) and reported.
+
+The insurance propensity predicates (search, shrinking and replay alike)
+test their conjuncts in this order: equal distributions of ``f`` and
+``g``, then the strict value gap, then the structure (``f`` a contract
+of the kind on ``w``, or for hedging a better hedge than ``g``).  The
+order changes cost, never results.
 """
 
 from __future__ import annotations
@@ -527,22 +533,35 @@ def _mixed_instances(
         yield w, f, None
 
 
-def _propensity_violation_fn(
-    kind: str, m: PreferenceModel
+def _insurance_violation_fn(
+    kind: str, sides: Callable[[Payoff, Payoff], tuple]
 ) -> Callable[[dict[str, Payoff]], Optional[tuple]]:
+    """Insurance propensity predicate over ``(lhs, rhs) = sides(w+f, w+g)``; see the module docstring."""
+
     def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
         w, f, g = parts["w"], parts["f"], parts["g"]
         if not equal_in_distribution(f, g):
             return None
-        if kind == "hedging":
-            if not better_hedge(f, g, w):
-                return None
-        elif not _kind_member(kind, f, w):
+        lhs, rhs = sides(w + f, w + g)
+        if not _strictly_less(lhs, rhs):
             return None
-        lhs, rhs = m.value(w + f), m.value(w + g)
-        return (lhs, rhs) if _strictly_less(lhs, rhs) else None
+        if kind == "hedging":
+            return (lhs, rhs) if better_hedge(f, g, w) else None
+        return (lhs, rhs) if _kind_member(kind, f, w) else None
 
     return violation
+
+
+def _propensity_violation_fn(
+    kind: str, m: PreferenceModel
+) -> Callable[[dict[str, Payoff]], Optional[tuple]]:
+    return _insurance_violation_fn(kind, lambda wf, wg: (m.value(wf), m.value(wg)))
+
+
+def _compare_propensity_violation_fn(
+    kind: str, mA: PreferenceModel, mB: PreferenceModel
+) -> Callable[[dict[str, Payoff]], Optional[tuple]]:
+    return _insurance_violation_fn(kind, lambda wf, wg: (rho(mB, wg, wf), rho(mA, wg, wf)))
 
 
 def _sweep_alternatives(
@@ -924,19 +943,7 @@ def compare_propensity(
     prop = f"compare_propensity[{kind}][{mA.name} vs {mB.name}]"
     notes = () if kind == "fi" else (CONTINUITY_NOTE,)
     relation = "rho_B(w+g, w+f) < rho_A(w+g, w+f)"
-
-    def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
-        w, f, g = parts["w"], parts["f"], parts["g"]
-        if not equal_in_distribution(f, g):
-            return None
-        if kind == "hedging":
-            if not better_hedge(f, g, w):
-                return None
-        elif not _kind_member(kind, f, w):
-            return None
-        lhs, rhs = rho(mB, w + g, w + f), rho(mA, w + g, w + f)
-        return (lhs, rhs) if _strictly_less(lhs, rhs) else None
-
+    violation = _compare_propensity_violation_fn(kind, mA, mB)
     trials_run = 0
 
     def finish(parts: dict[str, Payoff]) -> CertificateReport:
@@ -957,7 +964,7 @@ def compare_propensity(
 
     for t in range(budget.trials):
         rng = _rng(budget.seed, t)
-        for w, f, g in _mixed_instances(kind if kind != "hedging" else "cs", rng, budget):
+        for w, f, g in _mixed_instances(kind, rng, budget):
             if g is not None:
                 trials_run += 1
                 if violation({"w": w, "f": f, "g": g}) is not None:
@@ -1044,13 +1051,5 @@ def replay_witness(
         return concave_order(f, g) and _strictly_less(rho(mB, g, f), rho(m, g, f))
     if prop.startswith("compare_propensity"):
         kind = prop.split("[")[1].split("]")[0]
-        wp, f, g = parts["w"], parts["f"], parts["g"]
-        if not equal_in_distribution(f, g):
-            return False
-        if kind == "hedging":
-            if not better_hedge(f, g, wp):
-                return False
-        elif not _kind_member(kind, f, wp):
-            return False
-        return _strictly_less(rho(mB, wp + g, wp + f), rho(m, wp + g, wp + f))
+        return _compare_propensity_violation_fn(kind, m, mB)(parts) is not None
     raise ValueError(f"cannot replay property {prop!r}")

@@ -1,11 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskprop import (
     Payoff,
     PiecewiseLinearFn,
     SearchBudget,
+    better_hedge,
     check_neutrality,
     check_premium_propensity,
     check_propensity,
@@ -15,16 +19,28 @@ from riskprop import (
     compare_strong,
     compare_weak,
     dual_model,
+    equal_in_distribution,
     expectation,
     fair_principle,
     loading_principle,
     mean_variance_model,
     replay_witness,
+    rho,
 )
-from riskprop.certify import HOLDS, VIOLATED
+from riskprop.certify import (
+    HOLDS,
+    PROPENSITY_KINDS,
+    VIOLATED,
+    _compare_propensity_violation_fn,
+    _kind_member,
+    _propensity_violation_fn,
+    _random_instance,
+    _strictly_less,
+)
 from conftest import build_zoo
 
 BUDGET = SearchBudget(max_n=4, exhaustive_n=4, trials=80, seed=0)
+ZOO = build_zoo()
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +259,101 @@ class TestReports:
         # shrinking keeps counterexamples readable
         r = check_propensity("pr", models["dual_nonconvex"], BUDGET)
         assert len(r.witness.payoffs["w"]) <= 3
+
+
+def _structure_first(kind, sides):
+    """Oracle: the propensity predicate with the structural conjunct tested before the values."""
+
+    def violation(parts):
+        w, f, g = parts["w"], parts["f"], parts["g"]
+        if not equal_in_distribution(f, g):
+            return None
+        if kind == "hedging":
+            if not better_hedge(f, g, w):
+                return None
+        elif not _kind_member(kind, f, w):
+            return None
+        lhs, rhs = sides(w + f, w + g)
+        return (lhs, rhs) if _strictly_less(lhs, rhs) else None
+
+    return violation
+
+
+@st.composite
+def insurance_instances(draw):
+    """(kind, w, f, g) with a contract of the kind on ``w`` as the starting point."""
+    kind = draw(st.sampled_from(PROPENSITY_KINDS))
+    n = draw(st.integers(2, BUDGET.max_n))
+    w, contract = _random_instance(kind, draw(st.randoms(use_true_random=False)), BUDGET, n)
+    any_payoff = st.lists(
+        st.sampled_from(BUDGET.value_grid), min_size=n, max_size=n
+    ).map(lambda vs: Payoff(tuple(vs)))
+
+    def rearranged(p):
+        return st.permutations(p.values).map(lambda vs: Payoff(tuple(vs)))
+
+    f, g = draw(st.one_of(
+        # the contract against an equally distributed alternative
+        st.tuples(st.just(contract), rearranged(contract)),
+        # a rearranged contract (mostly outside the kind) against the contract,
+        # which for cs and hedging is the better hedge
+        rearranged(contract).map(lambda p: (p, contract)),
+        # any payoff, mostly outside the kind, against a rearrangement of it
+        any_payoff.flatmap(lambda p: st.tuples(st.just(p), rearranged(p))),
+        # g mostly not a rearrangement of f
+        st.tuples(st.one_of(st.just(contract), any_payoff), any_payoff),
+    ))
+    return kind, w, f, g
+
+
+class TestPropensityPredicateOrder:
+    """Testing the value gap before structure changes no predicate result."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(insurance_instances(), st.sampled_from(sorted(ZOO)))
+    def test_check_predicate_matches_structure_first(self, inst, name):
+        kind, w, f, g = inst
+        m = ZOO[name]
+        parts = {"w": w, "f": f, "g": g}
+        oracle = _structure_first(kind, lambda wf, wg: (m.value(wf), m.value(wg)))
+        assert _propensity_violation_fn(kind, m)(parts) == oracle(parts)
+
+    @settings(max_examples=500, deadline=None)
+    @given(insurance_instances(), st.sampled_from(sorted(ZOO)), st.sampled_from(sorted(ZOO)))
+    def test_compare_predicate_matches_structure_first(self, inst, a, b):
+        kind, w, f, g = inst
+        mA, mB = ZOO[a], ZOO[b]
+        parts = {"w": w, "f": f, "g": g}
+        oracle = _structure_first(kind, lambda wf, wg: (rho(mB, wg, wf), rho(mA, wg, wf)))
+        assert _compare_propensity_violation_fn(kind, mA, mB)(parts) == oracle(parts)
+
+
+class TestReplayEnforcesStructure:
+    """A witness that keeps a strict value gap but loses the structure does not replay."""
+
+    def test_compare_propensity_non_member_rearrangement(self, models):
+        mA, mB = models["expected_value"], models["dual_nonconvex"]
+        r = compare_propensity("pr", mA, mB, BUDGET)
+        assert r.verdict == VIOLATED and replay_witness(r, mA, mB=mB)
+        w, f, g = (r.witness.payoffs[k] for k in ("w", "f", "g"))
+        candidates = []
+        for vs in sorted(set(permutations(f.values))):
+            f2 = Payoff(vs)
+            gap = _strictly_less(rho(mB, w + g, w + f2), rho(mA, w + g, w + f2))
+            if gap and not _kind_member("pr", f2, w):
+                candidates.append(f2)
+        assert candidates
+        for f2 in candidates:
+            payoffs = {**r.witness.payoffs, "f": f2}
+            tampered = replace(r, witness=replace(r.witness, payoffs=payoffs))
+            assert not replay_witness(tampered, mA, mB=mB)
+
+    def test_hedging_witness_with_contract_and_alternative_swapped(self, models):
+        r = check_propensity("hedging", models["dual_nonconvex"], BUDGET)
+        assert r.verdict == VIOLATED
+        w, f, g = (r.witness.payoffs[k] for k in ("w", "f", "g"))
+        swapped = replace(r, witness=replace(r.witness, payoffs={"w": w, "f": g, "g": f}))
+        m = models["dual_convex"]
+        assert _strictly_less(m.value(w + g), m.value(w + f))
+        assert not better_hedge(g, f, w)
+        assert not replay_witness(swapped, m)

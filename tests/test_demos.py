@@ -23,3 +23,4 @@ def test_demo_runs_cleanly(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("riskprop-demo-*"))
