@@ -52,7 +52,7 @@ from .insurance import (
 )
 from .orders import MpsStep, better_hedge, concave_order
 from .preferences import PreferenceModel, rho
-from .space import Payoff, as_fraction, equal_in_distribution, expectation
+from .space import Payoff, _from_ints, as_fraction, equal_in_distribution, expectation
 
 __all__ = [
     "SearchBudget",
@@ -104,6 +104,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_n < 2:
             raise ValueError("max_n must be >= 2")
+        if self.max_n > 12:  # random instances build n^2 state pairs and n-state payoffs
+            raise ValueError("max_n must be <= 12")
         if self.exhaustive_n > 7:  # 7! = 5,040 rearrangements per trial; larger n is sampled
             raise ValueError("exhaustive_n must be <= 7")
         if self.exhaustive_n > self.max_n:
@@ -113,6 +115,8 @@ class SearchBudget:
         grid = tuple(sorted({as_fraction(v) for v in self.value_grid}))
         if not grid:
             raise ValueError("value grid must be nonempty")
+        if len(grid) > 12:  # the structured sweeps enumerate C(len + n - 1, n) payoffs
+            raise ValueError("value grid must have at most 12 values")
         object.__setattr__(self, "value_grid", grid)
 
 
@@ -147,6 +151,12 @@ CONTINUITY_NOTE = (
 )
 
 
+# a violation predicate: the violated (lhs, rhs) pair, or None; search, shrinking and
+# replay call it on the parts alone, and alternative sweeps also pass the prebuilt sums
+Sums = tuple[Payoff, Payoff]
+Predicate = Callable[..., Optional[tuple]]
+
+
 def _strictly_less(a, b) -> bool:
     """Strict violation test honoring the float tolerance for inexact evaluators."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
@@ -171,19 +181,19 @@ def _random_payoff(rng: random.Random, grid: Sequence[Fraction], n: int) -> Payo
 def _distinct_permutations(f: Payoff) -> list[Payoff]:
     seen = set()
     out = []
-    for perm in permutations(f.values):
+    for perm in permutations(f.nums):
         if perm not in seen:
             seen.add(perm)
-            out.append(Payoff(perm))
+            out.append(_from_ints(perm, f.den))
     return out
 
 
 def _sampled_permutations(rng: random.Random, f: Payoff, count: int) -> list[Payoff]:
     out = []
-    vals = list(f.values)
+    vals = list(f.nums)
     for _ in range(count):
         rng.shuffle(vals)
-        out.append(Payoff(tuple(vals)))
+        out.append(_from_ints(tuple(vals), f.den))
     return out
 
 
@@ -200,8 +210,9 @@ def _alternatives(rng: random.Random, f: Payoff, budget: SearchBudget) -> list[P
 @lru_cache(maxsize=64)
 def _grid_distributions(grid: tuple[Fraction, ...], n: int) -> tuple[Payoff, ...]:
     """One sorted representative per distribution over the grid."""
+    ints = Payoff(grid)  # the ascending grid as integers over one denominator
     return tuple(
-        Payoff(vals) for vals in combinations_with_replacement(grid, n)
+        _from_ints(vals, ints.den) for vals in combinations_with_replacement(ints.nums, n)
     )
 
 
@@ -239,7 +250,7 @@ def _spread_pairs(
         for f in _grid_distributions(tuple(space), n):
             for s1 in range(1, n + 1):
                 for s2 in range(s1 + 1, n + 1):
-                    if strict and f[s1] == f[s2]:
+                    if strict and f.nums[s1 - 1] == f.nums[s2 - 1]:
                         continue
                     for delta in deltas:
                         out.append((f, MpsStep(s1, s2, delta)))
@@ -265,18 +276,18 @@ def _triple_instances(
 
 
 def _drop_state(p: Payoff, idx: int) -> Payoff:
-    vals = p.values[:idx] + p.values[idx + 1 :]
-    return Payoff(vals)
+    return _from_ints(p.nums[:idx] + p.nums[idx + 1 :], p.den)
 
 
-def _toward_zero(v: Fraction) -> list[Fraction]:
+def _toward_zero(v: int, den: int) -> list[int]:
+    """Shrink candidates for the value ``v / den``, as numerators over ``den``."""
     out = []
-    if v.denominator != 1:
-        out.append(Fraction(int(v)))  # truncate toward zero
+    if v % den:
+        out.append((abs(v) // den) * den * (1 if v > 0 else -1))  # truncate toward zero
     if v > 0:
-        out.append(v - 1 if v >= 1 else Fraction(0))
+        out.append(v - den if v >= den else 0)
     elif v < 0:
-        out.append(v + 1 if v <= -1 else Fraction(0))
+        out.append(v + den if v <= -den else 0)
     return [c for c in out if c != v]
 
 
@@ -307,11 +318,11 @@ def _shrink(
         for key in sorted(current):
             p = current[key]
             for idx in range(len(p)):
-                for cand in _toward_zero(p.values[idx]):
-                    vals = list(p.values)
+                for cand in _toward_zero(p.nums[idx], p.den):
+                    vals = list(p.nums)
                     vals[idx] = cand
                     candidate = dict(current)
-                    candidate[key] = Payoff(tuple(vals))
+                    candidate[key] = _from_ints(tuple(vals), p.den)
                     budget -= 1
                     trial = predicate(candidate)
                     if trial is not None:
@@ -412,7 +423,7 @@ def _random_spread_chain(
         found = None
         for s1 in states:
             for s2 in states:
-                if s1 != s2 and g[s1] <= g[s2]:
+                if s1 != s2 and g.nums[s1 - 1] <= g.nums[s2 - 1]:
                     found = (s1, s2)
                     break
             if found:
@@ -497,7 +508,7 @@ def _random_instance(
         return w, make_contract(w, "is", premium=pi, schedule=schedule).payoff
     if kind in ("cs", "hedging"):
         draws = sorted((rng.choice(grid) for _ in range(n)), reverse=True)
-        order = sorted(range(n), key=lambda i: (w.values[i], i))
+        order = sorted(range(n), key=lambda i: (w.nums[i], i))
         vals = [Fraction(0)] * n
         for rank, i in enumerate(order):
             vals[i] = draws[rank]
@@ -515,7 +526,7 @@ def _mixed_instances(
         states = [(s1, s2) for s1 in range(1, n + 1) for s2 in range(1, n + 1) if s1 != s2]
         rng.shuffle(states)
         for s1, s2 in states:
-            if f0[s1] < f0[s2]:
+            if f0.nums[s1 - 1] < f0.nums[s2 - 1]:
                 step = MpsStep(s1, s2, rng.choice(_DELTAS))
                 if kind == "pr":
                     maker = proportional_triple
@@ -533,16 +544,14 @@ def _mixed_instances(
         yield w, f, None
 
 
-def _insurance_violation_fn(
-    kind: str, sides: Callable[[Payoff, Payoff], tuple]
-) -> Callable[[dict[str, Payoff]], Optional[tuple]]:
+def _insurance_violation_fn(kind: str, sides: Callable[[Payoff, Payoff], tuple]) -> Predicate:
     """Insurance propensity predicate over ``(lhs, rhs) = sides(w+f, w+g)``; see the module docstring."""
 
-    def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
+    def violation(parts: dict[str, Payoff], sums: Optional[Sums] = None) -> Optional[tuple]:
         w, f, g = parts["w"], parts["f"], parts["g"]
         if not equal_in_distribution(f, g):
             return None
-        lhs, rhs = sides(w + f, w + g)
+        lhs, rhs = sides(*(sums or (w + f, w + g)))
         if not _strictly_less(lhs, rhs):
             return None
         if kind == "hedging":
@@ -552,32 +561,34 @@ def _insurance_violation_fn(
     return violation
 
 
-def _propensity_violation_fn(
-    kind: str, m: PreferenceModel
-) -> Callable[[dict[str, Payoff]], Optional[tuple]]:
+def _propensity_violation_fn(kind: str, m: PreferenceModel) -> Predicate:
     return _insurance_violation_fn(kind, lambda wf, wg: (m.value(wf), m.value(wg)))
 
 
 def _compare_propensity_violation_fn(
     kind: str, mA: PreferenceModel, mB: PreferenceModel
-) -> Callable[[dict[str, Payoff]], Optional[tuple]]:
+) -> Predicate:
     return _insurance_violation_fn(kind, lambda wf, wg: (rho(mB, wg, wf), rho(mA, wg, wf)))
 
 
 def _sweep_alternatives(
-    w: Payoff,
-    f: Payoff,
-    alternatives: Iterable[Payoff],
-    test: Callable[[Payoff, Payoff], Optional[tuple]],
+    w: Payoff, f: Payoff, alternatives: Iterable[Payoff], test: Predicate
 ) -> Optional[tuple[Payoff, tuple]]:
-    """Evaluate candidates, deduplicated by the distribution of w + g (law invariance)."""
+    """Test ``(w, f, g)`` for each alternative ``g``, deduplicated by the distribution of ``w + g``.
+
+    Law invariance makes the deduplication exact.  ``test`` gets the parts
+    and the sums ``(w + f, w + g)``: ``w + f`` is built once per sweep and
+    ``w + g`` once per alternative.
+    """
+    wf = w + f
     seen = set()
     for g in alternatives:
-        key = tuple(sorted((w + g).values))
+        wg = w + g
+        key = (wg.den, tuple(sorted(wg.nums)))
         if key in seen:
             continue
         seen.add(key)
-        sides = test(f, g)
+        sides = test({"w": w, "f": f, "g": g}, (wf, wg))
         if sides is not None:
             return g, sides
     return None
@@ -629,12 +640,7 @@ def check_propensity(
                 continue
             alts = _alternatives(rng, f, budget)
             trials_run += 1
-            hit = _sweep_alternatives(
-                w,
-                f,
-                alts,
-                lambda ff, gg: violation({"w": w, "f": ff, "g": gg}),
-            )
+            hit = _sweep_alternatives(w, f, alts, violation)
             if hit is not None:
                 g_found, _ = hit
                 return finish({"w": w, "f": f, "g": g_found})
@@ -648,13 +654,14 @@ def check_premium_propensity(
     _require_total(m)
     prop = f"premium_propensity[{pp.name}][{m.name}]"
 
-    def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
+    def violation(parts: dict[str, Payoff], sums: Optional[Sums] = None) -> Optional[tuple]:
         w, f, g = parts["w"], parts["f"], parts["g"]
         if f != -w - pp.base(-w):
             return None
         if not equal_in_distribution(f, g):
             return None
-        lhs, rhs = m.value(w + f), m.value(w + g)
+        wf, wg = sums or (w + f, w + g)
+        lhs, rhs = m.value(wf), m.value(wg)
         return (lhs, rhs) if _strictly_less(lhs, rhs) else None
 
     trials_run = 0
@@ -676,12 +683,7 @@ def check_premium_propensity(
         w = _random_payoff(rng, budget.value_grid, n)
         f = -w - pp.base(-w)
         trials_run += 1
-        hit = _sweep_alternatives(
-            w,
-            f,
-            _alternatives(rng, f, budget),
-            lambda ff, gg: violation({"w": w, "f": ff, "g": gg}),
-        )
+        hit = _sweep_alternatives(w, f, _alternatives(rng, f, budget), violation)
         if hit is not None:
             g_found, _ = hit
             return _report_violation(
@@ -971,12 +973,7 @@ def compare_propensity(
                     return finish({"w": w, "f": f, "g": g})
                 continue
             trials_run += 1
-            hit = _sweep_alternatives(
-                w,
-                f,
-                _alternatives(rng, f, budget),
-                lambda ff, gg: violation({"w": w, "f": ff, "g": gg}),
-            )
+            hit = _sweep_alternatives(w, f, _alternatives(rng, f, budget), violation)
             if hit is not None:
                 g_found, _ = hit
                 return finish({"w": w, "f": f, "g": g_found})

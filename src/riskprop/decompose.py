@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .orders import MpsStep, concave_order
-from .space import Payoff, expectation
+from .space import Payoff, _common_nums, _from_ints, _with_scalar, expectation
 
 __all__ = [
     "ZeroMeanSplit",
@@ -109,7 +109,7 @@ def split_zero_mean(f: Payoff) -> ZeroMeanSplit:
     """
     if expectation(f) != 0:
         raise ValueError(f"payoff must have zero mean, got {expectation(f)}")
-    x = f.values
+    x = f.nums  # signs and sums over one denominator are all the walk needs
     n = len(x)
     if all(v == 0 for v in x):
         zero = Payoff.constant(0, n)
@@ -134,17 +134,17 @@ def split_zero_mean(f: Payoff) -> ZeroMeanSplit:
         remaining.remove(pick)
         partial += x[pick]
 
-    h_vals = [Fraction(0)] * n
-    hp_vals = [Fraction(0)] * n
-    running = Fraction(0)
+    h_vals = [0] * n
+    hp_vals = [0] * n
+    running = 0
     for state in order:
         hp_vals[state] = running
         running += x[state]
         h_vals[state] = running
-    return ZeroMeanSplit(Payoff(tuple(h_vals)), Payoff(tuple(hp_vals)))
+    return ZeroMeanSplit(_from_ints(tuple(h_vals), f.den), _from_ints(tuple(hp_vals), f.den))
 
 
-def _stable_argsort(values: Sequence[Fraction]) -> list[int]:
+def _stable_argsort(values: Sequence[int]) -> list[int]:
     return sorted(range(len(values)), key=lambda i: (values[i], i))
 
 
@@ -164,9 +164,10 @@ def mps_chain(f: Payoff, g: Payoff) -> MpsChain:
         return MpsChain(())
 
     n = len(f)
-    perm = _stable_argsort(f.values)
-    current = [f.values[i] for i in perm]
-    target = sorted(g.values)
+    (fs, gs), den = _common_nums(f, g)
+    perm = _stable_argsort(fs)
+    current = [fs[i] for i in perm]
+    target = sorted(gs)
 
     elements: list[ChainElement] = []
     for _ in range(n):
@@ -177,19 +178,19 @@ def mps_chain(f: Payoff, g: Payoff) -> MpsChain:
         assert current[i] > target[i], "first unfinished state must sit above its target"
         j = next(k for k in range(i + 1, n) if current[k] < target[k])
         delta = min(current[i] - target[i], target[j] - current[j])
-        elements.append(MpsStep(perm[i] + 1, perm[j] + 1, delta))
+        elements.append(MpsStep(perm[i] + 1, perm[j] + 1, Fraction(delta, den)))
         current[i] -= delta
         current[j] += delta
 
-    after = [Fraction(0)] * n
+    after = [0] * n
     for pos, state in enumerate(perm):
         after[state] = current[pos]
-    if tuple(after) != g.values:
+    if tuple(after) != gs:
         used = [False] * n
         mapping = []
         for s in range(n):
             t = next(
-                k for k in range(n) if not used[k] and after[k] == g.values[s]
+                k for k in range(n) if not used[k] and after[k] == gs[s]
             )
             used[t] = True
             mapping.append(t + 1)
@@ -208,23 +209,23 @@ def proportional_triple(f: Payoff, step: MpsStep) -> InsuranceTriple:
     percentage excess ``1 + 1/a`` in ``(0, 1)``, at premium zero.
     """
     step.check_states(f)
-    m1, m2 = f[step.donor], f[step.recipient]
-    if step.delta == 0 or m1 == m2:
+    n1, n2 = f.nums[step.donor - 1], f.nums[step.recipient - 1]
+    if step.delta == 0 or n1 == n2:
         raise ValueError(
             "proportional factorization needs delta > 0 and strictly increasing "
             "donor -> recipient values; perturb the flat spread first"
         )
-    if m1 > m2:
+    if n1 > n2:
         raise ValueError("step does not apply: donor value exceeds recipient value")
-    a = (m1 - m2) / step.delta - 1
+    a = Fraction(n1 - n2, f.den) / step.delta - 1
     f_tilde = f * (Fraction(1) / (a + 1))
     w_tilde = f_tilde * a
-    g_vals = list(f_tilde.values)
+    g_vals = list(f_tilde.nums)
     g_vals[step.donor - 1], g_vals[step.recipient - 1] = (
         g_vals[step.recipient - 1],
         g_vals[step.donor - 1],
     )
-    g_tilde = Payoff(tuple(g_vals))
+    g_tilde = _from_ints(tuple(g_vals), f_tilde.den)
     excess = 1 + Fraction(1) / a
     return InsuranceTriple(
         w_tilde,
@@ -246,34 +247,30 @@ def deductible_triple(f: Payoff, step: MpsStep) -> InsuranceTriple:
     ``xi = -f[recipient] - half``, limit ``2*half``, premium ``half``.
     """
     step.check_states(f)
-    m1, m2 = f[step.donor], f[step.recipient]
-    if m1 > m2:
-        raise ValueError("step does not apply: donor value exceeds recipient value")
     half = step.delta / 2
-    n = len(f)
-    # low side: states paying at most m1 or strictly below m2 (ties with a
-    # flat pinch go low); the recipient always sits on the high side
-    low_side = [
-        i != step.recipient - 1 and (f.values[i] <= m1 or f.values[i] < m2)
-        for i in range(n)
-    ]
-
+    # f's numerators and half's numerator h over their common denominator d
+    x, h, d = _with_scalar(f, half)
+    n1, n2 = x[step.donor - 1], x[step.recipient - 1]
+    if n1 > n2:
+        raise ValueError("step does not apply: donor value exceeds recipient value")
     f_vals, g_vals, w_vals = [], [], []
-    for i in range(n):
-        if low_side[i]:
-            f_vals.append(half)
-            g_vals.append(-half if i == step.donor - 1 else half)
-            w_vals.append(f.values[i] - half)
+    for i, v in enumerate(x):
+        # low side: states paying at most f[donor] or strictly below f[recipient]
+        # (ties with a flat pinch go low); the recipient always sits on the high side
+        if i != step.recipient - 1 and (v <= n1 or v < n2):
+            f_vals.append(h)
+            g_vals.append(-h if i == step.donor - 1 else h)
+            w_vals.append(v - h)
         else:
-            f_vals.append(-half)
-            g_vals.append(half if i == step.recipient - 1 else -half)
-            w_vals.append(f.values[i] + half)
+            f_vals.append(-h)
+            g_vals.append(h if i == step.recipient - 1 else -h)
+            w_vals.append(v + h)
 
-    xi = -m2 - half
+    xi = Fraction(-n2 - h, d)
     return InsuranceTriple(
-        Payoff(tuple(w_vals)),
-        Payoff(tuple(f_vals)),
-        Payoff(tuple(g_vals)),
+        _from_ints(tuple(w_vals), d),
+        _from_ints(tuple(f_vals), d),
+        _from_ints(tuple(g_vals), d),
         kind="dl",
         params={"deductible": xi, "limit": 2 * half, "premium": half},
     )

@@ -19,10 +19,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .orders import counter_monotone
-from .space import Payoff, RationalLike, as_fraction, expectation
+from .space import Payoff, RationalLike, _common_nums, _from_ints, as_fraction, expectation
 
 __all__ = [
     "InsuranceKind",
@@ -118,9 +119,13 @@ def make_contract(
         lam = as_fraction(limit)
         if lam < 0:
             raise ValueError(f"limit must be >= 0, got {lam}")
-        vals = tuple(min(max(lv - d, Fraction(0)), lam) - pi for lv in loss.values)
+        # the loss and the three parameters as integers over one denominator
+        den = lcm(loss.den, d.denominator, lam.denominator, pi.denominator)
+        dn, ln, pn = (c.numerator * (den // c.denominator) for c in (d, lam, pi))
+        k = den // loss.den
+        vals = tuple([min(max(lv * k - dn, 0), ln) - pn for lv in loss.nums])
         return InsuranceContract(
-            Payoff(vals), kind, {"deductible": d, "limit": lam, "premium": pi}
+            _from_ints(vals, den), kind, {"deductible": d, "limit": lam, "premium": pi}
         )
 
     if kind is InsuranceKind.INDEMNITY_SCHEDULE:
@@ -134,10 +139,11 @@ def make_contract(
                     f"schedule must be weakly increasing in the loss: "
                     f"payment drops from {p1} at loss {l1} to {p2} at loss {l2}"
                 )
-        missing = sorted(set(loss.values) - set(table))
+        losses = loss.values
+        missing = sorted(set(losses) - set(table))
         if missing:
             raise ValueError(f"schedule does not cover realized losses {missing}")
-        vals = tuple(table[lv] - pi for lv in loss.values)
+        vals = tuple(table[lv] - pi for lv in losses)
         return InsuranceContract(
             Payoff(vals), kind, {"schedule": tuple(points), "premium": pi}
         )
@@ -154,53 +160,59 @@ def make_contract(
 
 def _fit_full(f: Payoff, w: Payoff) -> Optional[dict]:
     total = w + f
-    if all(v == total.values[0] for v in total.values):
-        return {"premium": -total.values[0]}
+    if all(v == total.nums[0] for v in total.nums):
+        return {"premium": Fraction(-total.nums[0], total.den)}
     return None
 
 
 def _fit_proportional(f: Payoff, w: Payoff) -> Optional[dict]:
     # f + (1 - excess) * w must be constant with coverage (1 - excess) in (0, 1]
-    pairs = [
-        (s, t)
-        for s in range(len(w))
-        for t in range(s + 1, len(w))
-        if w.values[s] != w.values[t]
-    ]
-    if not pairs:
-        if all(v == f.values[0] for v in f.values):
-            return {"excess": Fraction(0), "premium": -(f.values[0] + w.values[0])}
+    fs, ws = f.nums, w.nums
+    pair = next(
+        ((s, t) for s in range(len(ws)) for t in range(s + 1, len(ws)) if ws[s] != ws[t]),
+        None,
+    )
+    if pair is None:
+        if all(v == fs[0] for v in fs):
+            return {"excess": Fraction(0), "premium": -(f[1] + w[1])}
         return None
-    s, t = pairs[0]
-    coverage = (f.values[t] - f.values[s]) / (w.values[s] - w.values[t])
+    s, t = pair
+    coverage = Fraction((fs[t] - fs[s]) * w.den, (ws[s] - ws[t]) * f.den)
     if not 0 < coverage <= 1:
         return None
-    const = f.values[0] + coverage * w.values[0]
-    if any(f.values[i] + coverage * w.values[i] != const for i in range(len(w))):
+    # with coverage = p/q, f + coverage * w scaled by f.den * q * w.den is an integer vector
+    p, q = coverage.numerator, coverage.denominator
+    scaled = {a * q * w.den + p * b * f.den for a, b in zip(fs, ws)}
+    if len(scaled) != 1:
         return None
-    return {"excess": 1 - coverage, "premium": -const}
+    return {"excess": 1 - coverage, "premium": Fraction(-scaled.pop(), f.den * q * w.den)}
 
 
-def _loss_profile(f: Payoff, w: Payoff) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """Distinct (loss, payment) points if ``f`` is a weakly increasing function of the loss."""
-    table: dict[Fraction, Fraction] = {}
-    for lv, pay in zip(_loss(w).values, f.values):
-        if lv in table and table[lv] != pay:
+def _loss_profile(f: Payoff, w: Payoff) -> Optional[tuple[list[tuple[int, int]], int]]:
+    """Distinct (loss, payment) points if ``f`` is a weakly increasing function of the loss.
+
+    The points come as numerators over one denominator ``d``, returned with them.
+    """
+    (fs, ws), d = _common_nums(f, w)
+    table: dict[int, int] = {}
+    for wv, pay in zip(ws, fs):
+        if table.setdefault(-wv, pay) != pay:
             return None
-        table[lv] = pay
     points = sorted(table.items())
     for (_, p1), (_, p2) in zip(points, points[1:]):
         if p1 > p2:
             return None
-    return points
+    return points, d
 
 
 def _fit_deductible_limit(f: Payoff, w: Payoff) -> Optional[dict]:
-    points = _loss_profile(f, w)
-    if points is None:
+    profile = _loss_profile(f, w)
+    if profile is None:
         return None
+    points, d = profile
     if len({pay for _, pay in points}) == 1:
-        return {"deductible": Fraction(0), "limit": Fraction(0), "premium": -points[0][1]}
+        premium = Fraction(-points[0][1], d)
+        return {"deductible": Fraction(0), "limit": Fraction(0), "premium": premium}
     # Some point must lie on the slope-one segment, so its loss minus
     # payment determines deductible + premium; scan the candidates.
     for b in sorted({lv - pay for lv, pay in points}):
@@ -215,20 +227,21 @@ def _fit_deductible_limit(f: Payoff, w: Payoff) -> Optional[dict]:
             continue
         if on_line and (min(on_line) < floor or max(on_line) > cap):
             continue
-        deductible = b + floor
         return {
-            "deductible": deductible,
-            "limit": cap - floor,
-            "premium": -floor,
+            "deductible": Fraction(b + floor, d),
+            "limit": Fraction(cap - floor, d),
+            "premium": Fraction(-floor, d),
         }
     return None
 
 
 def _fit_indemnity(f: Payoff, w: Payoff) -> Optional[dict]:
-    points = _loss_profile(f, w)
-    if points is None:
+    profile = _loss_profile(f, w)
+    if profile is None:
         return None
-    return {"schedule": tuple(points), "premium": Fraction(0)}
+    points, d = profile
+    schedule = tuple((Fraction(lv, d), Fraction(pay, d)) for lv, pay in points)
+    return {"schedule": schedule, "premium": Fraction(0)}
 
 
 def _fit_contingency(f: Payoff, w: Payoff) -> Optional[dict]:

@@ -12,10 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional
 
-from .space import Payoff, RationalLike, as_fraction, equal_in_distribution
+from .space import (
+    Payoff,
+    RationalLike,
+    _common_nums,
+    _from_ints,
+    _with_scalar,
+    as_fraction,
+    equal_in_distribution,
+)
 
 __all__ = [
     "MpsStep",
@@ -60,15 +68,17 @@ class MpsStep:
 
     def apply(self, f: Payoff) -> Payoff:
         self.check_states(f)
-        if f[self.donor] > f[self.recipient]:
+        i, j = self.donor - 1, self.recipient - 1
+        if f.nums[i] > f.nums[j]:
             raise ValueError(
                 f"step does not apply: f[{self.donor}]={f[self.donor]} exceeds "
                 f"f[{self.recipient}]={f[self.recipient]}"
             )
-        vals = list(f.values)
-        vals[self.donor - 1] -= self.delta
-        vals[self.recipient - 1] += self.delta
-        return Payoff(tuple(vals))
+        nums, delta, d = _with_scalar(f, self.delta)
+        vals = list(nums)
+        vals[i] -= delta
+        vals[j] += delta
+        return _from_ints(tuple(vals), d)
 
 
 def concave_order(f: Payoff, g: Payoff) -> bool:
@@ -78,30 +88,22 @@ def concave_order(f: Payoff, g: Payoff) -> bool:
     dominate those of ``g`` at every cut, with equality for the full sum.
     """
     f._check_same_length(g)
-    fs, gs = f.ascending(), g.ascending()
-    pf = pg = Fraction(0)
-    n = len(fs)
-    for k in range(n):
-        pf += fs[k]
-        pg += gs[k]
-        if k < n - 1:
-            if pf < pg:
-                return False
-        elif pf != pg:
-            return False
-    return True
+    (fs, gs), _ = _common_nums(f, g)
+    pf, pg = list(accumulate(sorted(fs))), list(accumulate(sorted(gs)))
+    return pf[-1] == pg[-1] and all(a >= b for a, b in zip(pf, pg))
 
 
 def fsd(f: Payoff, g: Payoff) -> bool:
     """First-order stochastic dominance of ``f`` over ``g`` (sorted componentwise)."""
     f._check_same_length(g)
-    return all(a >= b for a, b in zip(f.ascending(), g.ascending()))
+    (fs, gs), _ = _common_nums(f, g)
+    return all(a >= b for a, b in zip(sorted(fs), sorted(gs)))
 
 
 def stop_loss(f: Payoff, cap: RationalLike) -> Fraction:
     """Expected capped payoff ``E[min(f, cap)]``, exact."""
-    c = as_fraction(cap)
-    return Fraction(sum(min(v, c) for v in f.values), len(f))
+    nums, c, d = _with_scalar(f, cap)
+    return Fraction(sum(min(v, c) for v in nums), d * len(nums))
 
 
 def recognize_mps(f: Payoff, g: Payoff) -> Optional[MpsStep]:
@@ -112,13 +114,14 @@ def recognize_mps(f: Payoff, g: Payoff) -> Optional[MpsStep]:
     zero-delta witness exists whenever ``f == g`` and ``n >= 2``.
     """
     f._check_same_length(g)
-    diff = [b - a for a, b in zip(f.values, g.values)]
+    (fs, gs), den = _common_nums(f, g)
+    diff = [b - a for a, b in zip(fs, gs)]
     moved = [i for i, d in enumerate(diff) if d != 0]
     if not moved:
-        for s1 in range(1, len(f) + 1):
-            for s2 in range(1, len(f) + 1):
-                if s1 != s2 and f[s1] <= f[s2]:
-                    return MpsStep(s1, s2, Fraction(0))
+        for s1 in range(len(fs)):
+            for s2 in range(len(fs)):
+                if s1 != s2 and fs[s1] <= fs[s2]:
+                    return MpsStep(s1 + 1, s2 + 1, Fraction(0))
         return None
     if len(moved) != 2:
         return None
@@ -129,23 +132,19 @@ def recognize_mps(f: Payoff, g: Payoff) -> Optional[MpsStep]:
         donor, recipient = j, i
     else:
         return None
-    if f.values[donor] > f.values[recipient]:
+    if fs[donor] > fs[recipient]:
         return None
-    return MpsStep(donor + 1, recipient + 1, -diff[donor])
+    return MpsStep(donor + 1, recipient + 1, Fraction(-diff[donor], den))
 
 
 def counter_monotone(f: Payoff, w: Payoff) -> bool:
     """Whether ``f`` and ``w`` move in opposite directions across all state pairs."""
     f._check_same_length(w)
-    n = len(f)
-    for s, t in combinations(range(n), 2):
-        if (f.values[s] - f.values[t]) * (w.values[s] - w.values[t]) > 0:
+    fs, ws = f.nums, w.nums  # positive denominators leave the signs of the products alone
+    for s, t in combinations(range(len(fs)), 2):
+        if (fs[s] - fs[t]) * (ws[s] - ws[t]) > 0:
             return False
     return True
-
-
-def _cut_states(w: Payoff, level: Fraction) -> list[int]:
-    return [i for i, v in enumerate(w.values) if v <= level]
 
 
 def better_hedge(f: Payoff, g: Payoff, w: Payoff) -> bool:
@@ -161,12 +160,14 @@ def better_hedge(f: Payoff, g: Payoff, w: Payoff) -> bool:
     f._check_same_length(w)
     if not equal_in_distribution(f, g):
         return False
-    payments = sorted(set(f.values) | set(g.values))
-    for level in sorted(set(w.values)):
-        cut = _cut_states(w, level)
+    # equally distributed, so f and g share a denominator and their numerators compare
+    fs, gs, ws = f.nums, g.nums, w.nums
+    payments = sorted(set(fs) | set(gs))
+    for level in sorted(set(ws)):
+        cut = [i for i, v in enumerate(ws) if v <= level]
         for t in payments:
-            count_f = sum(1 for i in cut if f.values[i] <= t)
-            count_g = sum(1 for i in cut if g.values[i] <= t)
+            count_f = sum(1 for i in cut if fs[i] <= t)
+            count_g = sum(1 for i in cut if gs[i] <= t)
             if count_f > count_g:
                 return False
     return True
@@ -184,9 +185,10 @@ def is_best_hedge(f: Payoff, w: Payoff) -> bool:
     every payment, and beating the counter-monotone one beats every ``g``.
     """
     f._check_same_length(w)
-    order = sorted(range(len(w)), key=lambda i: (w.values[i], i))
-    asc = f.ascending()
-    countermono_vals = [Fraction(0)] * len(w)
+    ws = w.nums
+    order = sorted(range(len(ws)), key=lambda i: (ws[i], i))
+    desc = sorted(f.nums, reverse=True)
+    countermono = [0] * len(ws)
     for rank, i in enumerate(order):
-        countermono_vals[i] = asc[len(w) - 1 - rank]
-    return better_hedge(f, Payoff(tuple(countermono_vals)), w)
+        countermono[i] = desc[rank]
+    return better_hedge(f, _from_ints(tuple(countermono), f.den), w)

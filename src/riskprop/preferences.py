@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, Optional, Union
 
-from .space import Payoff, RationalLike, as_fraction, expectation, variance
+from .space import Payoff, RationalLike, _nums_over, as_fraction, expectation, variance
 
 __all__ = [
     "PiecewiseLinearFn",
@@ -143,8 +143,8 @@ def _numerators(values, d: int) -> list[int]:
 
 def eu_value(u: PiecewiseLinearFn, f: Payoff) -> Fraction:
     """Average utility ``(1/n) * sum(u(f(s)))``, exact, summed as integers over one denominator."""
-    d = lcm(u._xden, *(v.denominator for v in f.values))
-    return Fraction(u._scaled_sum(_numerators(f.values, d), d), u._q * d * len(f))
+    d = lcm(u._xden, f.den)
+    return Fraction(u._scaled_sum(_nums_over(f, d), d), u._q * d * len(f))
 
 
 @lru_cache(maxsize=1024)
@@ -171,9 +171,8 @@ def dual_value(g: Distortion, f: Payoff) -> Union[Fraction, float]:
     if wden is None:
         ordered = sorted(f.values, reverse=True)
         return sum((v * wt for v, wt in zip(ordered, weights)), Fraction(0))
-    d = lcm(*(v.denominator for v in f.values))
-    ordered = sorted(_numerators(f.values, d), reverse=True)
-    return Fraction(sum(v * wt for v, wt in zip(ordered, weights)), d * wden)
+    ordered = sorted(f.nums, reverse=True)
+    return Fraction(sum(v * wt for v, wt in zip(ordered, weights)), f.den * wden)
 
 
 class Comparison(enum.Enum):
@@ -332,10 +331,10 @@ def _rho_eu(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> Fraction:
     updating ``phi`` by ``-D * dr`` and ``D`` by ``slopes[j-1] - slopes[j]``,
     and solves the affine piece on which ``phi`` first drops to <= 0.
     """
-    d = lcm(u._xden, *(v.denominator for v in f.values), *(v.denominator for v in g.values))
-    fs, xnums, islopes = _numerators(f.values, d), u._scaled_xnums(d), u._islopes
+    d = lcm(u._xden, f.den, g.den)
+    fs, xnums, islopes = _nums_over(f, d), u._scaled_xnums(d), u._islopes
     r = min(fs) - xnums[-1]
-    value = u._scaled_sum([v - r for v in fs], d) - u._scaled_sum(_numerators(g.values, d), d)
+    value = u._scaled_sum([v - r for v in fs], d) - u._scaled_sum(_nums_over(g, d), d)
     active = islopes[-1] * len(fs)
     interior = [(x, islopes[j - 1] - islopes[j]) for j, x in enumerate(xnums[1:-1], 1)]
     for k, dd in sorted((v - x, dd) for v in fs for x, dd in interior):

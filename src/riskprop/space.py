@@ -1,8 +1,16 @@
 """Finite equiprobable probability spaces with exact rational arithmetic.
 
 A payoff lives on a state space ``{1, ..., n}`` in which every state has
-probability ``1/n``.  Every quantity is a :class:`fractions.Fraction`;
-nothing in this module rounds.  Continuous distributions enter only
+probability ``1/n``.  Every quantity is exact; nothing in this module
+rounds.  A :class:`Payoff` stores one integer vector: its numerators
+``nums`` over one positive denominator ``den``, reduced so that
+``gcd(den, *nums) == 1``.  Its arithmetic, equality, hash and the
+distribution test run on these integers.  ``Payoff.values`` is the
+public ``Fraction`` tuple, but it is an O(n) view built on every
+access, so library code reads ``nums`` and ``den``.  Values from
+outside enter through :func:`as_fraction`, which refuses floats.
+Scalar results (means, values, parameters) are :class:`fractions.Fraction`.
+Continuous distributions enter only
 through :class:`QuantileTable`, a left-continuous increasing step
 function on ``(0, 1)`` that can be coarsened back onto a dyadic
 equiprobable space with :func:`dyadic_condition`.
@@ -10,9 +18,10 @@ equiprobable space with :func:`dyadic_condition`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -43,22 +52,67 @@ def as_fraction(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
 class Payoff:
     """A random payoff on ``n`` equiprobable states.
 
-    State ``s`` (1-based) pays ``values[s - 1]`` with probability ``1/n``.
-    Instances are immutable and hashable; arithmetic returns new payoffs
-    and preserves the state count.
+    State ``s`` (1-based) pays ``nums[s - 1] / den`` with probability
+    ``1/n``.  ``nums`` is a tuple of ints and ``den`` a positive int with
+    ``gcd(den, *nums) == 1``; this canonical form is unique per payoff, so
+    equality, hashing and distribution tests compare integers.  Instances
+    are immutable and hashable; arithmetic returns new payoffs and
+    preserves the state count.
     """
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("nums", "den")
 
-    def __post_init__(self) -> None:
-        vals = tuple(as_fraction(v) for v in self.values)
-        if not vals:
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, values: Iterable[RationalLike]) -> None:
+        # a separate step, under the name that bench/tracer.py wraps to count constructions
+        self.__post_init__(values)
+
+    def __post_init__(self, values: Iterable[RationalLike]) -> None:
+        """Coerce ``values`` with :func:`as_fraction` and store them in canonical form.
+
+        Only payoffs built from outside values pass through here; results
+        of arithmetic are built from their integers by :func:`_from_ints`.
+        """
+        ratios = [as_fraction(v).as_integer_ratio() for v in values]
+        if not ratios:
             raise ValueError("a payoff needs at least one state")
-        object.__setattr__(self, "values", vals)
+        den = lcm(*[d for _, d in ratios])
+        _SET_NUMS(self, tuple([p * (den // d) for p, d in ratios]))
+        _SET_DEN(self, den)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The state values as ``Fraction``s, built on every access in O(n).
+
+        Library code reads ``nums`` and ``den`` instead.
+        """
+        den = self.den
+        return tuple([Fraction(v, den) for v in self.nums])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _from_ints, (self.nums, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.den == other.den and self.nums == other.nums
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"Payoff(values={self.values!r})"
 
     @classmethod
     def of(cls, *values: RationalLike) -> "Payoff":
@@ -68,77 +122,85 @@ class Payoff:
 
     @classmethod
     def constant(cls, value: RationalLike, n: int) -> "Payoff":
-        return cls(tuple([as_fraction(value)] * n))
+        if n < 1:
+            raise ValueError("a payoff needs at least one state")
+        c = as_fraction(value)
+        return _from_ints((c.numerator,) * n, c.denominator)
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
     def __getitem__(self, state: int) -> Fraction:
         """Value in 1-based state ``state``."""
-        if not 1 <= state <= len(self.values):
-            raise IndexError(f"state {state} out of range 1..{len(self.values)}")
-        return self.values[state - 1]
+        if not 1 <= state <= len(self.nums):
+            raise IndexError(f"state {state} out of range 1..{len(self.nums)}")
+        return Fraction(self.nums[state - 1], self.den)
 
     def _check_same_length(self, other: "Payoff") -> None:
-        if len(self.values) != len(other.values):
+        if len(self.nums) != len(other.nums):
             raise ValueError(
-                f"length mismatch: {len(self.values)} vs {len(other.values)} states"
+                f"length mismatch: {len(self.nums)} vs {len(other.nums)} states"
             )
 
     def __add__(self, other: Union["Payoff", RationalLike]) -> "Payoff":
         if isinstance(other, Payoff):
             self._check_same_length(other)
-            return Payoff(tuple(a + b for a, b in zip(self.values, other.values)))
-        c = as_fraction(other)
-        return Payoff(tuple(v + c for v in self.values))
+            (a, b), d = _common_nums(self, other)
+            return _from_ints(tuple([x + y for x, y in zip(a, b)]), d)
+        a, c, d = _with_scalar(self, other)
+        return _from_ints(tuple([x + c for x in a]), d)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Payoff", RationalLike]) -> "Payoff":
         if isinstance(other, Payoff):
             self._check_same_length(other)
-            return Payoff(tuple(a - b for a, b in zip(self.values, other.values)))
-        c = as_fraction(other)
-        return Payoff(tuple(v - c for v in self.values))
+            (a, b), d = _common_nums(self, other)
+            return _from_ints(tuple([x - y for x, y in zip(a, b)]), d)
+        a, c, d = _with_scalar(self, other)
+        return _from_ints(tuple([x - c for x in a]), d)
 
     def __rsub__(self, other: RationalLike) -> "Payoff":
-        c = as_fraction(other)
-        return Payoff(tuple(c - v for v in self.values))
+        a, c, d = _with_scalar(self, other)
+        return _from_ints(tuple([c - x for x in a]), d)
 
     def __neg__(self) -> "Payoff":
-        return Payoff(tuple(-v for v in self.values))
+        return _from_ints(tuple([-x for x in self.nums]), self.den)
 
     def __mul__(self, scalar: RationalLike) -> "Payoff":
         c = as_fraction(scalar)
-        return Payoff(tuple(c * v for v in self.values))
+        p = c.numerator
+        return _from_ints(tuple([p * x for x in self.nums]), self.den * c.denominator)
 
     __rmul__ = __mul__
 
     def min_value(self) -> Fraction:
-        return min(self.values)
+        return Fraction(min(self.nums), self.den)
 
     def max_value(self) -> Fraction:
-        return max(self.values)
+        return Fraction(max(self.nums), self.den)
 
     def ascending(self) -> tuple[Fraction, ...]:
-        """Values sorted ascending (ties keep original state order)."""
-        return tuple(sorted(self.values))
+        """Values sorted ascending."""
+        den = self.den
+        return tuple([Fraction(v, den) for v in sorted(self.nums)])
 
     def permute(self, mapping: Sequence[int]) -> "Payoff":
         """Rearranged payoff: new state ``k`` takes the value of old state ``mapping[k-1]``.
 
         ``mapping`` must be a permutation of ``1..n`` (1-based states).
         """
-        if sorted(mapping) != list(range(1, len(self.values) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.values)}: {mapping!r}")
-        return Payoff(tuple(self.values[s - 1] for s in mapping))
+        nums = self.nums
+        if sorted(mapping) != list(range(1, len(nums) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(nums)}: {mapping!r}")
+        return _from_ints(tuple([nums[s - 1] for s in mapping]), self.den)
 
     def lottery(self) -> "Lottery":
         return Lottery.from_payoff(self)
@@ -147,25 +209,65 @@ class Payoff:
         return QuantileTable.from_payoff(self)
 
 
+_SET_NUMS = Payoff.nums.__set__
+_SET_DEN = Payoff.den.__set__
+_new = object.__new__
+
+
+def _from_ints(nums: tuple[int, ...], den: int) -> Payoff:
+    """The payoff ``nums / den`` (``den > 0``, ``nums`` nonempty), reduced to canonical form."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = tuple([v // g for v in nums])
+        den //= g
+    p = _new(Payoff)
+    _SET_NUMS(p, nums)
+    _SET_DEN(p, den)
+    return p
+
+
+def _nums_over(f: Payoff, d: int) -> tuple[int, ...]:
+    """The numerators of ``f`` over ``d``, a multiple of ``f.den``."""
+    k = d // f.den
+    return f.nums if k == 1 else tuple([v * k for v in f.nums])
+
+
+def _common_nums(*payoffs: Payoff) -> tuple[list[tuple[int, ...]], int]:
+    """The numerators of ``payoffs`` over the lcm ``d`` of their denominators, and ``d``."""
+    d = lcm(*(p.den for p in payoffs))
+    return [_nums_over(p, d) for p in payoffs], d
+
+
+def _with_scalar(f: Payoff, c: RationalLike) -> tuple[tuple[int, ...], int, int]:
+    """``f``'s numerators and the rational ``c``'s numerator over their lcm ``d``, and ``d``."""
+    c = as_fraction(c)
+    q = c.denominator
+    d = lcm(f.den, q)
+    return _nums_over(f, d), c.numerator * (d // q), d
+
+
 def expectation(f: Payoff) -> Fraction:
     """Mean payoff, exact: ``(1/n) * sum(values)``."""
-    return Fraction(sum(f.values), len(f.values))
+    return Fraction(sum(f.nums), f.den * len(f.nums))
 
 
 def variance(f: Payoff) -> Fraction:
     """Population variance, exact."""
-    m = expectation(f)
-    return Fraction(sum((v - m) ** 2 for v in f.values), len(f.values))
+    n, total = len(f.nums), sum(f.nums)
+    # each squared deviation is (n*v - total)^2 / (n*den)^2; their mean divides by n once more
+    return Fraction(sum((n * v - total) ** 2 for v in f.nums), n**3 * f.den**2)
 
 
 def equal_in_distribution(f: Payoff, g: Payoff) -> bool:
     """Whether ``f`` and ``g`` induce the same lottery.
 
     On a common equiprobable space this holds exactly when ``g`` is a
-    permutation of ``f``, i.e. the sorted value lists coincide.
+    permutation of ``f``, i.e. the sorted value lists coincide.  Equal
+    multisets of values share their canonical denominator, so the test
+    compares sorted numerators.
     """
     f._check_same_length(g)
-    return sorted(f.values) == sorted(g.values)
+    return f.den == g.den and sorted(f.nums) == sorted(g.nums)
 
 
 @dataclass(frozen=True)
@@ -193,10 +295,10 @@ class Lottery:
 
     @classmethod
     def from_payoff(cls, f: Payoff) -> "Lottery":
-        n = len(f.values)
+        n = len(f.nums)
         atoms = tuple(
-            (v, Fraction(len(list(grp)), n))
-            for v, grp in groupby(sorted(f.values))
+            (Fraction(v, f.den), Fraction(len(list(grp)), n))
+            for v, grp in groupby(sorted(f.nums))
         )
         return cls(atoms)
 

@@ -255,6 +255,17 @@ class TestReports:
         with pytest.raises(ValueError, match="exhaustive_n must be <= 7"):
             SearchBudget(max_n=9, exhaustive_n=8)
 
+    def test_budget_caps_max_n_at_twelve(self):
+        assert SearchBudget(max_n=12, exhaustive_n=4).max_n == 12
+        with pytest.raises(ValueError, match="max_n must be <= 12"):
+            SearchBudget(max_n=13, exhaustive_n=4)
+
+    def test_budget_caps_value_grid_at_twelve(self):
+        twelve = tuple(range(12))
+        assert len(SearchBudget(value_grid=twelve + (0, 1)).value_grid) == 12  # counted after dedup
+        with pytest.raises(ValueError, match="value grid must have at most 12 values"):
+            SearchBudget(value_grid=twelve + (12,))
+
     def test_witnesses_are_small(self, models):
         # shrinking keeps counterexamples readable
         r = check_propensity("pr", models["dual_nonconvex"], BUDGET)

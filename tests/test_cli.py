@@ -282,6 +282,20 @@ class TestInputHandling:
         assert "budget: exhaustive_n must be <= 7" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-n", "13"], "budget: max_n must be <= 12"),
+            (["--grid", ",".join(str(k) for k in range(13))], "budget: value grid must have at most 12 values"),
+        ],
+    )
+    def test_budget_caps(self, files, capsys, flags, message):
+        argv = ["certify", "--property", "weak_ra", "--model", files["ev"]] + flags
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_bad_model_type(self, files):
         bad = files["write"]("badm.json", {"type": "nope"})
         assert main(["preference", bad, "--value", files["f"]]) == 2
