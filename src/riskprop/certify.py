@@ -33,6 +33,16 @@ test their conjuncts in this order: equal distributions of ``f`` and
 ``g``, then the strict value gap, then the structure (``f`` a contract
 of the kind on ``w``, or for hedging a better hedge than ``g``).  The
 order changes cost, never results.
+
+Two more devices change cost, never results.  Phase 1 of an insurance
+propensity search knows each instance's sums before its parts: a spread
+pair ``f0 -> g0 = step.apply(f0)`` factors into ``(w, f, g)`` with
+``w + f = f0`` and ``w + g = g0``, so the value gap is tested on
+``(f0, g0)`` and the pair is factored only when that gap is strict (a
+split of ``h`` has the sums ``(E[h], h)``).  And each search evaluates
+``V`` and ``rho`` through a memo keyed on the laws of the payoffs, built
+with the search and dropped when it returns; every built-in model is law
+invariant, and ``custom`` models skip the memo.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .decompose import deductible_triple, proportional_triple, split_zero_mean
 from .insurance import (
@@ -85,6 +95,7 @@ _PREMIUMS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
 _EXCESSES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 _LIMITS = (Fraction(0), Fraction(1), Fraction(2), Fraction(7, 2))
 _DEDUCTIBLES = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1))
+_MEMO_ENTRIES = 1 << 14  # per memo; the demo-budget searches use under 1,000
 
 
 def _default_grid() -> tuple[Fraction, ...]:
@@ -203,6 +214,32 @@ def _alternatives(rng: random.Random, f: Payoff, budget: SearchBudget) -> list[P
     return _sampled_permutations(rng, f, 20)
 
 
+def _law(p: Payoff) -> tuple[int, ...]:
+    """The distribution of ``p`` as one flat tuple: size, denominator, sorted numerators."""
+    return (len(p.nums), p.den, *sorted(p.nums))
+
+
+def _per_law(m: PreferenceModel, fn: Callable[..., Any]) -> Callable[..., Any]:
+    """``fn`` of payoffs memoized on their laws, for one search; ``custom`` models skip the memo.
+
+    Every built-in model is law invariant, so the memo changes cost, never
+    results.  It starts over when full, which bounds its memory at any budget.
+    """
+    if m.family == "custom":
+        return fn
+    memo: dict = {}
+
+    def call(*payoffs: Payoff):
+        key = sum(map(_law, payoffs), ())  # unambiguous: each law leads with its size
+        if key not in memo:
+            if len(memo) >= _MEMO_ENTRIES:
+                memo.clear()
+            memo[key] = fn(*payoffs)
+        return memo[key]
+
+    return call
+
+
 # ---------------------------------------------------------------------------
 # phase-1 instance grids (model independent, cached across checks)
 
@@ -255,20 +292,6 @@ def _spread_pairs(
                     for delta in deltas:
                         out.append((f, MpsStep(s1, s2, delta)))
     return tuple(out)
-
-
-def _triple_instances(
-    grid: tuple[Fraction, ...], kind: str
-) -> Iterator[tuple[Payoff, Payoff, Payoff]]:
-    """(w, f, g) factoring single spreads through a pr or dl purchase."""
-    if kind == "pr":
-        for f0, step in _spread_pairs(grid, True):
-            t = proportional_triple(f0, step)
-            yield t.w_tilde, t.f_tilde, t.g_tilde
-    else:
-        for f0, step in _spread_pairs(grid, False):
-            t = deductible_triple(f0, step)
-            yield t.w_tilde, t.f_tilde, t.g_tilde
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +410,12 @@ def check_weak_risk_aversion(m: PreferenceModel, budget: SearchBudget) -> Certif
     """Search for a payoff the model prefers to its own expectation."""
     _require_total(m)
     prop = f"weak_risk_aversion[{m.name}]"
+    value = _per_law(m, m.value)
 
     def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
         f = parts["f"]
-        lhs = m.value(Payoff.constant(expectation(f), len(f)))
-        rhs = m.value(f)
+        lhs = value(Payoff.constant(expectation(f), len(f)))
+        rhs = value(f)
         return (lhs, rhs) if _strictly_less(lhs, rhs) else None
 
     trials_run = 0
@@ -438,12 +462,13 @@ def check_strong_risk_aversion(m: PreferenceModel, budget: SearchBudget) -> Cert
     """Search concave-order pairs (built from spreads) for a preference reversal."""
     _require_total(m)
     prop = f"strong_risk_aversion[{m.name}]"
+    value = _per_law(m, m.value)
 
     def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
         f, g = parts["f"], parts["g"]
         if not concave_order(f, g):
             return None
-        lhs, rhs = m.value(f), m.value(g)
+        lhs, rhs = value(f), value(g)
         return (lhs, rhs) if _strictly_less(lhs, rhs) else None
 
     trials_run = 0
@@ -561,14 +586,27 @@ def _insurance_violation_fn(kind: str, sides: Callable[[Payoff, Payoff], tuple])
     return violation
 
 
+def _value_sides(m: PreferenceModel) -> Callable[[Payoff, Payoff], tuple]:
+    """``(f, g) -> (V(f), V(g))`` with a fresh memo."""
+    value = _per_law(m, m.value)
+    return lambda f, g: (value(f), value(g))
+
+
+def _rho_sides(mA: PreferenceModel, mB: PreferenceModel) -> Callable[[Payoff, Payoff], tuple]:
+    """``(f, g) -> (rho_B(g, f), rho_A(g, f))`` with a fresh memo per model."""
+    rho_a = _per_law(mA, lambda g, f: rho(mA, g, f))
+    rho_b = _per_law(mB, lambda g, f: rho(mB, g, f))
+    return lambda f, g: (rho_b(g, f), rho_a(g, f))
+
+
 def _propensity_violation_fn(kind: str, m: PreferenceModel) -> Predicate:
-    return _insurance_violation_fn(kind, lambda wf, wg: (m.value(wf), m.value(wg)))
+    return _insurance_violation_fn(kind, _value_sides(m))
 
 
 def _compare_propensity_violation_fn(
     kind: str, mA: PreferenceModel, mB: PreferenceModel
 ) -> Predicate:
-    return _insurance_violation_fn(kind, lambda wf, wg: (rho(mB, wg, wf), rho(mA, wg, wf)))
+    return _insurance_violation_fn(kind, _rho_sides(mA, mB))
 
 
 def _sweep_alternatives(
@@ -584,7 +622,7 @@ def _sweep_alternatives(
     seen = set()
     for g in alternatives:
         wg = w + g
-        key = (wg.den, tuple(sorted(wg.nums)))
+        key = _law(wg)
         if key in seen:
             continue
         seen.add(key)
@@ -594,41 +632,46 @@ def _sweep_alternatives(
     return None
 
 
-def check_propensity(
-    kind: str, m: PreferenceModel, budget: SearchBudget
+def _insurance_search(
+    prop: str,
+    relation: str,
+    kind: str,
+    sides: Callable[[Payoff, Payoff], tuple],
+    budget: SearchBudget,
+    split_n: int,
 ) -> CertificateReport:
-    """Search for an insurance contract the model likes less than an equally distributed alternative.
+    """Both phases of an insurance propensity search with the value gap ``sides(w + f, w + g)``.
 
-    ``kind`` is one of ``fi, pr, dl, is, cs, hedging``.
+    Phase 1 knows each instance's sums before its parts: ``(E[h], h)`` for
+    the split of ``h`` (sizes up to ``split_n``), ``(f0, step.apply(f0))``
+    for a spread pair, which is factored through its pr or dl purchase only
+    when the gap on the sums is strict.
     """
-    if kind not in PROPENSITY_KINDS:
-        raise ValueError(f"kind must be one of {PROPENSITY_KINDS}, got {kind!r}")
-    _require_total(m)
-    prop = f"propensity[{kind}][{m.name}]"
     notes = () if kind == "fi" else (CONTINUITY_NOTE,)
-    violation = _propensity_violation_fn(kind, m)
-    relation = "V(w+f) < V(w+g)"
+    violation = _insurance_violation_fn(kind, sides)
     trials_run = 0
 
     def finish(parts: dict[str, Payoff]) -> CertificateReport:
         return _report_violation(prop, relation, parts, violation, trials_run, budget, notes)
 
     if kind == "fi":
-        for _, w, f, g in _split_instances(budget.value_grid, budget.exhaustive_n):
+        for h, w, f, g in _split_instances(budget.value_grid, split_n):
             trials_run += 1
-            if violation({"w": w, "f": f, "g": g}) is not None:
-                return finish({"w": w, "f": f, "g": g})
-    elif kind in ("pr", "dl"):
-        for w, f, g in _triple_instances(budget.value_grid, kind):
-            trials_run += 1
-            if violation({"w": w, "f": f, "g": g}) is not None:
-                return finish({"w": w, "f": f, "g": g})
+            parts = {"w": w, "f": f, "g": g}
+            if violation(parts, (Payoff.constant(expectation(h), len(h)), h)) is not None:
+                return finish(parts)
     else:
-        for source in ("pr", "dl"):
-            for w, f, g in _triple_instances(budget.value_grid, source):
+        for source in (kind,) if kind in ("pr", "dl") else ("pr", "dl"):
+            factor = proportional_triple if source == "pr" else deductible_triple
+            for f0, step in _spread_pairs(budget.value_grid, source == "pr"):
                 trials_run += 1
-                if violation({"w": w, "f": f, "g": g}) is not None:
-                    return finish({"w": w, "f": f, "g": g})
+                g0 = step.apply(f0)
+                if not _strictly_less(*sides(f0, g0)):
+                    continue
+                triple = factor(f0, step)
+                parts = {"w": triple.w_tilde, "f": triple.f_tilde, "g": triple.g_tilde}
+                if violation(parts, (f0, g0)) is not None:
+                    return finish(parts)
 
     for t in range(budget.trials):
         rng = _rng(budget.seed, t)
@@ -642,9 +685,28 @@ def check_propensity(
             trials_run += 1
             hit = _sweep_alternatives(w, f, alts, violation)
             if hit is not None:
-                g_found, _ = hit
-                return finish({"w": w, "f": f, "g": g_found})
+                return finish({"w": w, "f": f, "g": hit[0]})
     return _report_holds(prop, trials_run, budget, notes)
+
+
+def check_propensity(
+    kind: str, m: PreferenceModel, budget: SearchBudget
+) -> CertificateReport:
+    """Search for an insurance contract the model likes less than an equally distributed alternative.
+
+    ``kind`` is one of ``fi, pr, dl, is, cs, hedging``.
+    """
+    if kind not in PROPENSITY_KINDS:
+        raise ValueError(f"kind must be one of {PROPENSITY_KINDS}, got {kind!r}")
+    _require_total(m)
+    return _insurance_search(
+        f"propensity[{kind}][{m.name}]",
+        "V(w+f) < V(w+g)",
+        kind,
+        _value_sides(m),
+        budget,
+        budget.exhaustive_n,
+    )
 
 
 def check_premium_propensity(
@@ -653,6 +715,7 @@ def check_premium_propensity(
     """Full-insurance propensity with the premium pinned to the principle's price of the loss."""
     _require_total(m)
     prop = f"premium_propensity[{pp.name}][{m.name}]"
+    value = _per_law(m, m.value)
 
     def violation(parts: dict[str, Payoff], sums: Optional[Sums] = None) -> Optional[tuple]:
         w, f, g = parts["w"], parts["f"], parts["g"]
@@ -661,7 +724,7 @@ def check_premium_propensity(
         if not equal_in_distribution(f, g):
             return None
         wf, wg = sums or (w + f, w + g)
-        lhs, rhs = m.value(wf), m.value(wg)
+        lhs, rhs = value(wf), value(wg)
         return (lhs, rhs) if _strictly_less(lhs, rhs) else None
 
     trials_run = 0
@@ -703,6 +766,7 @@ def check_neutrality(m: PreferenceModel, budget: SearchBudget) -> CertificateRep
     prop = f"neutrality[{m.name}]"
     sub_budget = replace(budget, trials=max(1, budget.trials // 4))
     details: dict[str, CertificateReport] = {}
+    value = _per_law(m, m.value)
 
     def equality_search(
         name: str,
@@ -721,8 +785,8 @@ def check_neutrality(m: PreferenceModel, budget: SearchBudget) -> CertificateRep
 
     def risk_neutral_check(parts: dict[str, Payoff]) -> Optional[tuple]:
         f = parts["f"]
-        lhs = m.value(Payoff.constant(expectation(f), len(f)))
-        rhs = m.value(f)
+        lhs = value(Payoff.constant(expectation(f), len(f)))
+        rhs = value(f)
         return (lhs, rhs) if _values_differ(lhs, rhs) else None
 
     def one_payoff_instances() -> Iterator[dict[str, Payoff]]:
@@ -741,8 +805,8 @@ def check_neutrality(m: PreferenceModel, budget: SearchBudget) -> CertificateRep
         def check(parts: dict[str, Payoff]) -> Optional[tuple]:
             if not structural(parts):
                 return None
-            lhs = m.value(parts["w"] + parts["f"])
-            rhs = m.value(parts["w"] + parts["g"])
+            lhs = value(parts["w"] + parts["f"])
+            rhs = value(parts["w"] + parts["g"])
             return (lhs, rhs) if _values_differ(lhs, rhs) else None
 
         return check
@@ -807,7 +871,7 @@ def check_neutrality(m: PreferenceModel, budget: SearchBudget) -> CertificateRep
 
         def ev_check(parts: dict[str, Payoff]) -> Optional[tuple]:
             f, g = parts["f"], parts["g"]
-            lhs, rhs = m.value(f), m.value(g)
+            lhs, rhs = value(f), value(g)
             model_pref = not _strictly_less(lhs, rhs)
             ev_pref = expectation(f) >= expectation(g)
             return (lhs, rhs) if model_pref != ev_pref else None
@@ -863,11 +927,11 @@ def compare_weak(
     """Search for a payoff whose risk elimination B values less than A does."""
     _require_comparable(mA, mB)
     prop = f"compare_weak[{mA.name} vs {mB.name}]"
+    sides = _rho_sides(mA, mB)
 
     def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
         g = parts["g"]
-        f = Payoff.constant(expectation(g), len(g))
-        lhs, rhs = rho(mB, g, f), rho(mA, g, f)
+        lhs, rhs = sides(Payoff.constant(expectation(g), len(g)), g)
         return (lhs, rhs) if _strictly_less(lhs, rhs) else None
 
     trials_run = 0
@@ -895,12 +959,13 @@ def compare_strong(
     """Search concave-order pairs for a risk reduction B values less than A does."""
     _require_comparable(mA, mB)
     prop = f"compare_strong[{mA.name} vs {mB.name}]"
+    sides = _rho_sides(mA, mB)
 
     def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
         f, g = parts["f"], parts["g"]
         if not concave_order(f, g):
             return None
-        lhs, rhs = rho(mB, g, f), rho(mA, g, f)
+        lhs, rhs = sides(f, g)
         return (lhs, rhs) if _strictly_less(lhs, rhs) else None
 
     trials_run = 0
@@ -942,42 +1007,14 @@ def compare_propensity(
     if kind not in PROPENSITY_KINDS:
         raise ValueError(f"kind must be one of {PROPENSITY_KINDS}, got {kind!r}")
     _require_comparable(mA, mB)
-    prop = f"compare_propensity[{kind}][{mA.name} vs {mB.name}]"
-    notes = () if kind == "fi" else (CONTINUITY_NOTE,)
-    relation = "rho_B(w+g, w+f) < rho_A(w+g, w+f)"
-    violation = _compare_propensity_violation_fn(kind, mA, mB)
-    trials_run = 0
-
-    def finish(parts: dict[str, Payoff]) -> CertificateReport:
-        return _report_violation(prop, relation, parts, violation, trials_run, budget, notes)
-
-    if kind == "fi":
-        for _, w, f, g in _split_instances(budget.value_grid, min(budget.exhaustive_n, 4)):
-            trials_run += 1
-            if violation({"w": w, "f": f, "g": g}) is not None:
-                return finish({"w": w, "f": f, "g": g})
-    else:
-        sources = ("pr",) if kind == "pr" else ("dl",) if kind == "dl" else ("pr", "dl")
-        for source in sources:
-            for w, f, g in _triple_instances(budget.value_grid, source):
-                trials_run += 1
-                if violation({"w": w, "f": f, "g": g}) is not None:
-                    return finish({"w": w, "f": f, "g": g})
-
-    for t in range(budget.trials):
-        rng = _rng(budget.seed, t)
-        for w, f, g in _mixed_instances(kind, rng, budget):
-            if g is not None:
-                trials_run += 1
-                if violation({"w": w, "f": f, "g": g}) is not None:
-                    return finish({"w": w, "f": f, "g": g})
-                continue
-            trials_run += 1
-            hit = _sweep_alternatives(w, f, _alternatives(rng, f, budget), violation)
-            if hit is not None:
-                g_found, _ = hit
-                return finish({"w": w, "f": f, "g": g_found})
-    return _report_holds(prop, trials_run, budget, notes)
+    return _insurance_search(
+        f"compare_propensity[{kind}][{mA.name} vs {mB.name}]",
+        "rho_B(w+g, w+f) < rho_A(w+g, w+f)",
+        kind,
+        _rho_sides(mA, mB),
+        budget,
+        min(budget.exhaustive_n, 4),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,15 @@ EXIT_INPUT = 2
 EXIT_VIOLATED = 3
 
 
+def _json_int(text: str) -> Any:
+    # an int too long to convert stays text, which the field parsers reject by name
+    return int(text) if len(text.lstrip("-")) <= S.MAX_DIGITS else text
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except FileNotFoundError:
         raise S.InputError(f"{path}: file not found")
     except json.JSONDecodeError as exc:

@@ -66,9 +66,10 @@ class PiecewiseLinearFn:
         # derived once; not dataclass fields, so eq and repr see only the breakpoints.  The
         # integer form holds the abscissae over their lcm ``_xden`` and piece ``j`` as
         # ``(_icepts[j] + _islopes[j] * x) / _q``, with ``_q`` the lcm of its denominators.
+        # ``_weights`` caches the distortion increments per grid size ``n`` (see ``dual_value``).
         vars(self).update(
             xs=xs, slopes=slopes, _hash=hash((pts,)), _xden=xden, _xnums=_numerators(xs, xden),
-            _q=q, _icepts=_numerators(icepts, q), _islopes=_numerators(slopes, q),
+            _q=q, _icepts=_numerators(icepts, q), _islopes=_numerators(slopes, q), _weights={},
         )
 
     def __hash__(self) -> int:
@@ -91,9 +92,9 @@ class PiecewiseLinearFn:
         """Abscissae as integers over ``d``, a multiple of ``_xden``."""
         return [x * (d // self._xden) for x in self._xnums]
 
-    def _scaled_sum(self, nums: list[int], d: int) -> int:
-        """``q * d * sum(u(v / d) for v in nums)``, exact, for ``d`` a multiple of ``_xden``."""
-        xnums, icepts, islopes = self._scaled_xnums(d), self._icepts, self._islopes
+    def _scaled_sum(self, nums: list[int], d: int, xnums: list[int]) -> int:
+        """``q * d * sum(u(v / d) for v in nums)``, exact, with ``xnums = _scaled_xnums(d)``."""
+        icepts, islopes = self._icepts, self._islopes
         hi = len(xnums) - 1
         total = 0
         for v in nums:
@@ -144,11 +145,10 @@ def _numerators(values, d: int) -> list[int]:
 def eu_value(u: PiecewiseLinearFn, f: Payoff) -> Fraction:
     """Average utility ``(1/n) * sum(u(f(s)))``, exact, summed as integers over one denominator."""
     d = lcm(u._xden, f.den)
-    return Fraction(u._scaled_sum(_nums_over(f, d), d), u._q * d * len(f))
+    return Fraction(u._scaled_sum(_nums_over(f, d), d, u._scaled_xnums(d)), u._q * d * len(f))
 
 
-@lru_cache(maxsize=1024)
-def _distortion_weights(g: Distortion, n: int) -> tuple[tuple, Optional[int]]:
+def _increments(g: Distortion, n: int) -> tuple[tuple, Optional[int]]:
     """Increments ``g(k/n) - g((k-1)/n)``, validated, as integers over their lcm when rational.
 
     Non-rational increments (a float-valued callable) come back as they are, over ``None``.
@@ -165,9 +165,23 @@ def _distortion_weights(g: Distortion, n: int) -> tuple[tuple, Optional[int]]:
     return tuple(_numerators(weights, wden)), wden
 
 
+_distortion_weights = lru_cache(maxsize=1024)(_increments)
+
+
 def dual_value(g: Distortion, f: Payoff) -> Union[Fraction, float]:
-    """Choquet value: descending values weighted by distortion increments of ``k/n``."""
-    weights, wden = _distortion_weights(g, len(f))
+    """Choquet value: descending values weighted by distortion increments of ``k/n``.
+
+    A ``PiecewiseLinearFn`` keeps its increments per ``n`` on the instance: an
+    ``lru_cache`` lookup with an equal but distinct distortion would compare
+    breakpoints.  Callables go through ``_distortion_weights``.
+    """
+    n = len(f)
+    if isinstance(g, PiecewiseLinearFn):
+        if n not in g._weights:
+            g._weights[n] = _increments(g, n)
+        weights, wden = g._weights[n]
+    else:
+        weights, wden = _distortion_weights(g, n)
     if wden is None:
         ordered = sorted(f.values, reverse=True)
         return sum((v * wt for v, wt in zip(ordered, weights)), Fraction(0))
@@ -332,9 +346,9 @@ def _rho_eu(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> Fraction:
     and solves the affine piece on which ``phi`` first drops to <= 0.
     """
     d = lcm(u._xden, f.den, g.den)
-    fs, xnums, islopes = _nums_over(f, d), u._scaled_xnums(d), u._islopes
+    fs, gs, xnums, islopes = _nums_over(f, d), _nums_over(g, d), u._scaled_xnums(d), u._islopes
     r = min(fs) - xnums[-1]
-    value = u._scaled_sum([v - r for v in fs], d) - u._scaled_sum(_nums_over(g, d), d)
+    value = u._scaled_sum([v - r for v in fs], d, xnums) - u._scaled_sum(gs, d, xnums)
     active = islopes[-1] * len(fs)
     interior = [(x, islopes[j - 1] - islopes[j]) for j, x in enumerate(xnums[1:-1], 1)]
     for k, dd in sorted((v - x, dd) for v in fs for x, dd in interior):

@@ -9,6 +9,7 @@ is never lost silently.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping, Union
 
@@ -48,6 +49,35 @@ class InputError(ValueError):
     """Malformed input; the message names the offending field."""
 
 
+MAX_DIGITS = 4300  # Python's default limit for converting between int and str
+
+# the digit groups of a rational string, loosely; Fraction itself rejects bad syntax
+_RATIONAL_PARTS = re.compile(
+    r"\s*[-+]?(?P<num>[\d_]*)"
+    r"(?:\s*/\s*(?P<den>[\d_]+)|(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)\s*"
+)
+
+
+def _check_digits(text: str, where: str) -> None:
+    """Reject ``text`` if ``Fraction(text)`` would build an int of more than MAX_DIGITS digits.
+
+    Checked before the ``Fraction`` is built: for ``1e999999999`` it would
+    compute a billion-digit power of ten.
+    """
+    m = _RATIONAL_PARTS.fullmatch(text)
+    if m is None:
+        return  # Fraction reports the syntax error
+    num, den, frac, exp = (sum(map(str.isdigit, m[k] or "")) for k in ("num", "den", "frac", "exp"))
+    if exp > MAX_DIGITS:
+        raise InputError(f"{where}: exponent needs more than {MAX_DIGITS} digits")
+    if m["den"] is None:
+        shift = int(m["exp"] or 0) - frac  # the value is int(num frac) * 10**shift
+        num, den = num + frac + max(shift, 0), 1 + max(-shift, 0)
+    for part, digits in (("numerator", num), ("denominator", den)):
+        if digits > MAX_DIGITS:
+            raise InputError(f"{where}: {part} needs more than {MAX_DIGITS} digits")
+
+
 def format_fraction(x: Union[Fraction, float]) -> Union[str, float]:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
@@ -63,6 +93,7 @@ def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_digits(value, where)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -83,8 +114,12 @@ def payoff_from_obj(obj: Any, where: str = "payoff") -> Payoff:
     vals = tuple(
         parse_rational(v, f"{where}.values[{i}]") for i, v in enumerate(values)
     )
-    if "n" in obj and obj["n"] != len(vals):
-        raise InputError(f"{where}.n: declared {obj['n']} states but found {len(vals)} values")
+    if "n" in obj:
+        n = obj["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InputError(f"{where}.n: expected an integer")
+        if n != len(vals):
+            raise InputError(f"{where}.n: declared {n} states but found {len(vals)} values")
     return Payoff(vals)
 
 

@@ -31,13 +31,24 @@ from riskprop.certify import (
     HOLDS,
     PROPENSITY_KINDS,
     VIOLATED,
+    _alternatives,
     _compare_propensity_violation_fn,
     _kind_member,
+    _law,
+    _mixed_instances,
+    _per_law,
     _propensity_violation_fn,
     _random_instance,
+    _rng,
+    _shrink,
+    _split_instances,
+    _spread_pairs,
     _strictly_less,
 )
-from conftest import build_zoo
+from riskprop import certify
+from riskprop.decompose import deductible_triple, proportional_triple
+from riskprop.preferences import custom_model
+from conftest import P, build_zoo
 
 BUDGET = SearchBudget(max_n=4, exhaustive_n=4, trials=80, seed=0)
 ZOO = build_zoo()
@@ -368,3 +379,143 @@ class TestReplayEnforcesStructure:
         assert _strictly_less(m.value(w + g), m.value(w + f))
         assert not better_hedge(g, f, w)
         assert not replay_witness(swapped, m)
+
+
+FRACTIONAL_GRID = (F(-3, 2), F(-1, 3), F(0), F(1, 2), F(2))
+GRIDS = {"default": SearchBudget().value_grid, "fractional": FRACTIONAL_GRID}
+
+
+def _eager_search(kind, sides, budget, split_n):
+    """Oracle: an insurance propensity search that factors every phase-1 spread pair.
+
+    A copy of the search before phase 1 tested the value gap on the sums
+    first, with the structure-first predicate and no memo.  Returns
+    ``(verdict, trials_run, witness payoffs, (lhs, rhs))``.
+    """
+    violation = _structure_first(kind, sides)
+    if kind == "fi":
+        phase1 = ((w, f, g) for _, w, f, g in _split_instances(budget.value_grid, split_n))
+    else:
+        phase1 = (
+            (t.w_tilde, t.f_tilde, t.g_tilde)
+            for source in ((kind,) if kind in ("pr", "dl") else ("pr", "dl"))
+            for f0, step in _spread_pairs(budget.value_grid, source == "pr")
+            for t in [(proportional_triple if source == "pr" else deductible_triple)(f0, step)]
+        )
+    trials_run = 0
+    for w, f, g in phase1:
+        trials_run += 1
+        parts = {"w": w, "f": f, "g": g}
+        if violation(parts) is not None:
+            return (VIOLATED, trials_run) + _shrink(parts, violation)
+    for t in range(budget.trials):
+        rng = _rng(budget.seed, t)
+        for w, f, g in _mixed_instances(kind, rng, budget):
+            alternatives = [g] if g is not None else _alternatives(rng, f, budget)
+            trials_run += 1
+            seen = set()
+            for g in alternatives:
+                key = _law(w + g)
+                if key in seen:
+                    continue
+                seen.add(key)
+                parts = {"w": w, "f": f, "g": g}
+                if violation(parts) is not None:
+                    return (VIOLATED, trials_run) + _shrink(parts, violation)
+    return HOLDS, trials_run, None, None
+
+
+def _outcome(report):
+    w = report.witness
+    return (
+        report.verdict,
+        report.trials_run,
+        None if w is None else dict(w.payoffs),
+        None if w is None else (w.lhs, w.rhs),
+    )
+
+
+def _small_budget(grid, seed):
+    return SearchBudget(max_n=4, exhaustive_n=3, trials=6, seed=seed, value_grid=GRIDS[grid])
+
+
+class TestLazyPhaseOne:
+    """Factoring phase-1 spread pairs only on a strict value gap, and the per-search memo, change no report."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(PROPENSITY_KINDS),
+        st.sampled_from(sorted(ZOO)),
+        st.sampled_from(sorted(GRIDS)),
+        st.integers(0, 3),
+    )
+    def test_check_propensity_matches_eager_oracle(self, kind, name, grid, seed):
+        m, budget = ZOO[name], _small_budget(grid, seed)
+        oracle = _eager_search(
+            kind, lambda wf, wg: (m.value(wf), m.value(wg)), budget, budget.exhaustive_n
+        )
+        assert _outcome(check_propensity(kind, m, budget)) == oracle
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(PROPENSITY_KINDS),
+        st.sampled_from(sorted(ZOO)),
+        st.sampled_from(sorted(ZOO)),
+        st.sampled_from(sorted(GRIDS)),
+        st.integers(0, 3),
+    )
+    def test_compare_propensity_matches_eager_oracle(self, kind, a, b, grid, seed):
+        mA, mB, budget = ZOO[a], ZOO[b], _small_budget(grid, seed)
+        oracle = _eager_search(
+            kind,
+            lambda wf, wg: (rho(mB, wg, wf), rho(mA, wg, wf)),
+            budget,
+            min(budget.exhaustive_n, 4),
+        )
+        assert _outcome(compare_propensity(kind, mA, mB, budget)) == oracle
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_phase1_sums_are_the_factored_sums(self, grid):
+        for strict, factor in ((True, proportional_triple), (False, deductible_triple)):
+            for f0, step in _spread_pairs(GRIDS[grid], strict):
+                t = factor(f0, step)
+                assert (t.w_tilde + t.f_tilde, t.w_tilde + t.g_tilde) == (f0, step.apply(f0))
+        for h, w, f, g in _split_instances(GRIDS[grid], 4):
+            assert (w + f, w + g) == (Payoff.constant(expectation(h), len(h)), h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(sorted(ZOO)),
+        st.sampled_from(sorted(ZOO)),
+        st.lists(st.sampled_from(FRACTIONAL_GRID + (F(5, 7),)), min_size=1, max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    def test_memo_matches_direct_evaluation_on_rearrangements(self, a, b, vals, rnd):
+        mA, mB = ZOO[a], ZOO[b]
+        value = _per_law(mA, mA.value)
+        rho_b = _per_law(mB, lambda g, f: rho(mB, g, f))
+        f = Payoff(tuple(vals))
+        g = Payoff(tuple(rnd.choice(vals) for _ in vals))
+        for _ in range(4):
+            perm_f = Payoff(tuple(rnd.sample(vals, len(vals))))
+            perm_g = g.permute(rnd.sample(range(1, len(g) + 1), len(g)))
+            assert value(perm_f) == mA.value(perm_f) == mA.value(f)
+            assert rho_b(perm_g, perm_f) == rho(mB, perm_g, perm_f) == rho(mB, g, f)
+
+    def test_full_memo_starts_over(self, monkeypatch):
+        m = ZOO["dual_nonconvex"]
+        calls = []
+        value = _per_law(m, lambda f: calls.append(f) or m.value(f))
+        monkeypatch.setattr(certify, "_MEMO_ENTRIES", 2)
+        for vals in ((0, 1), (1, 0), (0, 2), (2, 1), (1, 0), (0, 1)):
+            assert value(P(*vals)) == m.value(P(*vals))
+        # (1, 0) first hits the entry of (0, 1); at (2, 1) the full memo starts over
+        assert len(calls) == 4
+        budget = _small_budget("fractional", 1)
+        want = _outcome(compare_propensity("dl", ZOO["eu_concave"], m, budget))
+        monkeypatch.setattr(certify, "_MEMO_ENTRIES", 3)
+        assert _outcome(compare_propensity("dl", ZOO["eu_concave"], m, budget)) == want
+
+    def test_custom_models_skip_the_memo(self):
+        m = custom_model(lambda f: expectation(f))
+        assert _per_law(m, m.value) == m.value

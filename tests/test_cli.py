@@ -296,6 +296,45 @@ class TestInputHandling:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1e999999999", "numerator needs more than 4300 digits"),
+            ("1e5000", "numerator needs more than 4300 digits"),
+            ("1e-5000", "denominator needs more than 4300 digits"),
+            ("1/" + "3" * 4301, "denominator needs more than 4300 digits"),
+            ("1e" + "9" * 4301, "exponent needs more than 4300 digits"),
+        ],
+        ids=["1e999999999", "1e5000", "1e-5000", "long-denominator", "long-exponent"],
+    )
+    def test_oversized_rational_rejected_before_parsing(self, files, capsys, value, message):
+        bad = files["write"]("huge.json", {"n": 2, "values": ["1", value]})
+        assert main(["order", bad, files["g"]]) == 2
+        err = capsys.readouterr().err
+        assert f"huge.json.values[1]: {message}" in err
+        assert "Traceback" not in err
+
+    def test_oversized_json_integer_rejected_by_field(self, files, capsys):
+        path = files["dir"] / "bigint.json"
+        path.write_text('{"n": 2, "values": [1, 1' + "0" * 4300 + "]}")
+        assert main(["order", str(path), files["g"]]) == 2
+        err = capsys.readouterr().err
+        assert "bigint.json.values[1]: numerator needs more than 4300 digits" in err
+        assert "Traceback" not in err
+
+    def test_largest_rational_still_parses(self, files, capsys):
+        big = files["write"]("big.json", {"n": 3, "values": ["1e4299", "-1e-4299", -int("9" * 4300)]})
+        code, out = run(capsys, ["order", big, files["write"]("g3.json", {"values": [0, 1, 2]})])
+        assert code == 0 and out is not None
+
+    @pytest.mark.parametrize("n", ["2", True, 2.0, None])
+    def test_state_count_must_be_an_integer(self, files, capsys, n):
+        bad = files["write"]("badn.json", {"n": n, "values": ["1", "2"]})
+        assert main(["order", bad, files["g"]]) == 2
+        err = capsys.readouterr().err
+        assert ".n: expected an integer" in err
+        assert "Traceback" not in err
+
     def test_bad_model_type(self, files):
         bad = files["write"]("badm.json", {"type": "nope"})
         assert main(["preference", bad, "--value", files["f"]]) == 2

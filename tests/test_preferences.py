@@ -22,7 +22,7 @@ from riskprop import (
     mv_compare,
     rho,
 )
-from riskprop.preferences import _rho_eu
+from riskprop.preferences import _distortion_weights, _rho_eu
 from conftest import P, concave_utility, convex_distortion
 
 
@@ -425,3 +425,31 @@ class TestIntegerKernels:
     def test_dual_value_float_lambda(self, f):
         assert _same(dual_value(float_square, f), _dual_oracle(float_square, f))
         assert type(dual_value(float_square, f)) is float
+
+
+class TestDistortionWeightCache:
+    """A ``PiecewiseLinearFn`` keeps its increments per ``n`` on the instance; callables use the lru_cache."""
+
+    def test_equal_distinct_distortions_skip_the_lru_cache(self):
+        g1, g2 = convex_distortion(), convex_distortion()
+        before = _distortion_weights.cache_info()
+        f = P(3, -1, 2)
+        assert dual_value(g1, f) == dual_value(g2, f) == _dual_oracle(g1, f)
+        after = _distortion_weights.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert set(g1._weights) == set(g2._weights) == {3}
+        assert g1 == g2 and hash(g1) == hash(g2) and repr(g1) == repr(g2)
+
+    def test_callables_still_use_the_lru_cache(self):
+        before = _distortion_weights.cache_info()
+        dual_value(square, P(0, 2))
+        dual_value(square, P(1, 3))
+        after = _distortion_weights.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 2
+        assert after.hits >= before.hits + 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(distortions(), st.lists(mixed_payoffs(), min_size=1, max_size=6))
+    def test_warm_cache_matches_oracle(self, g, fs):
+        for f in fs + fs:
+            assert _same(dual_value(g, f), _dual_oracle(g, f))
