@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Any, Optional, Sequence
 
 from . import certify as C
@@ -71,12 +72,9 @@ def _budget_from_args(args: argparse.Namespace) -> C.SearchBudget:
         kwargs["trials"] = args.trials
     kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
     if args.grid is not None:
-        try:
-            kwargs["value_grid"] = tuple(
-                S.parse_rational(v.strip(), "--grid") for v in args.grid.split(",")
-            )
-        except S.InputError:
-            raise
+        kwargs["value_grid"] = tuple(
+            S.parse_rational(v.strip(), "--grid") for v in args.grid.split(",")
+        )
     try:
         return C.SearchBudget(**kwargs)
     except ValueError as exc:
@@ -100,6 +98,7 @@ def _emit(obj: Any, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+@lru_cache(maxsize=None)  # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="riskprop", description=__doc__)
     parser.add_argument("--out", default=None, help="write the JSON result to this file")

@@ -32,12 +32,10 @@ from riskprop.certify import (
     PROPENSITY_KINDS,
     VIOLATED,
     _alternatives,
-    _compare_propensity_violation_fn,
     _kind_member,
     _law,
     _mixed_instances,
     _per_law,
-    _propensity_violation_fn,
     _random_instance,
     _rng,
     _shrink,
@@ -283,6 +281,16 @@ class TestReports:
         assert len(r.witness.payoffs["w"]) <= 3
 
 
+def _propensity_violation_fn(kind, m):
+    """The predicate of the ``propensity[kind]`` row of the property table."""
+    return certify._row("propensity", BUDGET, m, kind=kind).violation
+
+
+def _compare_propensity_violation_fn(kind, mA, mB):
+    """The predicate of the ``compare_propensity[kind]`` row of the property table."""
+    return certify._row("compare_propensity", BUDGET, mA, mB, kind=kind).violation
+
+
 def _structure_first(kind, sides):
     """Oracle: the propensity predicate with the structural conjunct tested before the values."""
 
@@ -379,6 +387,36 @@ class TestReplayEnforcesStructure:
         assert _strictly_less(m.value(w + g), m.value(w + f))
         assert not better_hedge(g, f, w)
         assert not replay_witness(swapped, m)
+
+    def test_full_insurance_neutrality_witness_without_structure(self, models):
+        m = models["eu_concave"]
+        r = check_neutrality(m, replace(BUDGET, seed=2)).details["full_insurance_neutrality"]
+        assert r.verdict == VIOLATED and replay_witness(r, m)
+        w, g = r.witness.payoffs["w"], r.witness.payoffs["g"]
+        # f = w is no full insurance for w and not distributed as g; the values still differ
+        assert not _kind_member("fi", w, w) and not equal_in_distribution(w, g)
+        assert m.value(w + w) != m.value(w + g)
+        tampered = replace(r, witness=replace(r.witness, payoffs={"w": w, "f": w, "g": g}))
+        assert not replay_witness(tampered, m)
+
+    def test_hedging_neutrality_witness_with_hedges_swapped(self, models):
+        m = models["eu_concave"]
+        r = check_neutrality(m, replace(BUDGET, seed=2)).details["hedging_neutrality"]
+        assert r.verdict == VIOLATED and replay_witness(r, m)
+        w, f, g = (r.witness.payoffs[k] for k in ("w", "f", "g"))
+        assert not better_hedge(g, f, w) and m.value(w + g) != m.value(w + f)
+        swapped = replace(r, witness=replace(r.witness, payoffs={"w": w, "f": g, "g": f}))
+        assert not replay_witness(swapped, m)
+
+    def test_neutrality_report_replays_through_first_violated_entry(self, models):
+        m = models["eu_concave"]
+        r = check_neutrality(m, replace(BUDGET, seed=2))
+        first = next(d for d in r.details.values() if d.violated)
+        assert first.property.startswith("risk_neutrality") and r.witness == first.witness
+        assert replay_witness(r, m)
+        f = r.witness.payoffs["f"]
+        flat = {"f": Payoff.constant(expectation(f), len(f))}  # V(E[f]) == V(f) on a constant
+        assert not replay_witness(replace(r, witness=replace(r.witness, payoffs=flat)), m)
 
 
 FRACTIONAL_GRID = (F(-3, 2), F(-1, 3), F(0), F(1, 2), F(2))
