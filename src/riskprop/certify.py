@@ -862,6 +862,14 @@ def replay_witness(
     head, _, rest = named.property.partition("[")
     if head not in _ROWS:
         raise ValueError(f"cannot replay property {report.property!r}")
+    needs = (
+        ("m", m, True),
+        ("mB", mB, head.startswith("compare_")),
+        ("pp", pp, head == "premium_propensity"),
+    )
+    for arg, value, needed in needs:
+        if needed and value is None:
+            raise ValueError(f"replaying {named.property!r} needs the argument {arg}")
     kind = rest.split("]")[0] if head in ("propensity", "compare_propensity") else None
     prop = _row(head, named.budget, m, mB, pp, kind)
     return prop.violation(dict(report.witness.payoffs)) is not None

@@ -115,23 +115,19 @@ def split_zero_mean(f: Payoff) -> ZeroMeanSplit:
         zero = Payoff.constant(0, n)
         return ZeroMeanSplit(zero, zero)
 
-    remaining = list(range(n))
-    first = min(i for i in remaining if x[i] > 0)
-    order = [first]
-    remaining.remove(first)
-    partial = x[first]
-    while remaining:
-        zeros = [i for i in remaining if x[i] == 0]
-        if zeros:
-            pick = zeros[0]
-        elif partial == 0:
-            pick = remaining[0]
-        elif partial > 0:
-            pick = min(i for i in remaining if x[i] < 0)
+    # ascending state lists with a pointer each; every zero follows the first positive state
+    pos = [i for i, v in enumerate(x) if v > 0]
+    neg = [i for i, v in enumerate(x) if v < 0]
+    order = [pos[0]] + [i for i, v in enumerate(x) if v == 0]
+    partial = x[pos[0]]
+    p, q = 1, 0
+    while p < len(pos) or q < len(neg):
+        # at a zero sum the rest sums to zero, so both signs remain; take the smaller state
+        if partial < 0 or (partial == 0 and pos[p] < neg[q]):
+            pick, p = pos[p], p + 1
         else:
-            pick = min(i for i in remaining if x[i] > 0)
+            pick, q = neg[q], q + 1
         order.append(pick)
-        remaining.remove(pick)
         partial += x[pick]
 
     h_vals = [0] * n

@@ -1,7 +1,8 @@
 """Insurance contracts for a given risk: construction, classification, pricing.
 
 A contract for risk ``w`` is identified with its state-contingent net
-payoff.  Five nested classes are recognized:
+payoff.  Five classes are recognized, nested as fi ⊂ pr ⊂ is,
+fi ⊂ dl ⊂ is and is ⊂ cs:
 
 * full (``fi``): ``-w - premium``;
 * proportional (``pr``): ``-(1 - excess) * w - premium`` with excess in ``[0, 1)``;
@@ -9,9 +10,14 @@ payoff.  Five nested classes are recognized:
 * indemnity schedule (``is``): a weakly increasing function of the loss ``-w``;
 * contingency schedule (``cs``): counter-monotone with ``w``.
 
-Classification is exact: proportional membership is solved linearly over
-state pairs, deductible-limit membership by fitting the three-piece
-shape against the observed (loss, payment) scatter.
+Classification is exact and starts from the (loss, payment) profile.
+Each of fi, pr, dl and is makes the payment a weakly increasing function
+of the loss, which makes it counter-monotone with ``w``; without such a
+profile only cs can hold.  On the profile's points, full membership asks
+for a constant payment minus loss, proportional membership for one line
+of slope in ``(0, 1]``, and deductible-limit membership for a fit of the
+three-piece shape.  :func:`classify_detailed` computes the profile once
+for all five classes.
 """
 
 from __future__ import annotations
@@ -158,36 +164,6 @@ def make_contract(
     raise AssertionError("unreachable")
 
 
-def _fit_full(f: Payoff, w: Payoff) -> Optional[dict]:
-    total = w + f
-    if all(v == total.nums[0] for v in total.nums):
-        return {"premium": Fraction(-total.nums[0], total.den)}
-    return None
-
-
-def _fit_proportional(f: Payoff, w: Payoff) -> Optional[dict]:
-    # f + (1 - excess) * w must be constant with coverage (1 - excess) in (0, 1]
-    fs, ws = f.nums, w.nums
-    pair = next(
-        ((s, t) for s in range(len(ws)) for t in range(s + 1, len(ws)) if ws[s] != ws[t]),
-        None,
-    )
-    if pair is None:
-        if all(v == fs[0] for v in fs):
-            return {"excess": Fraction(0), "premium": -(f[1] + w[1])}
-        return None
-    s, t = pair
-    coverage = Fraction((fs[t] - fs[s]) * w.den, (ws[s] - ws[t]) * f.den)
-    if not 0 < coverage <= 1:
-        return None
-    # with coverage = p/q, f + coverage * w scaled by f.den * q * w.den is an integer vector
-    p, q = coverage.numerator, coverage.denominator
-    scaled = {a * q * w.den + p * b * f.den for a, b in zip(fs, ws)}
-    if len(scaled) != 1:
-        return None
-    return {"excess": 1 - coverage, "premium": Fraction(-scaled.pop(), f.den * q * w.den)}
-
-
 def _loss_profile(f: Payoff, w: Payoff) -> Optional[tuple[list[tuple[int, int]], int]]:
     """Distinct (loss, payment) points if ``f`` is a weakly increasing function of the loss.
 
@@ -205,24 +181,45 @@ def _loss_profile(f: Payoff, w: Payoff) -> Optional[tuple[list[tuple[int, int]],
     return points, d
 
 
-def _fit_deductible_limit(f: Payoff, w: Payoff) -> Optional[dict]:
-    profile = _loss_profile(f, w)
-    if profile is None:
+def _full_from(points: list[tuple[int, int]], d: int) -> Optional[dict]:
+    # f + w, the payment minus the loss, must be constant
+    premium = points[0][0] - points[0][1]
+    if all(lv - pay == premium for lv, pay in points):
+        return {"premium": Fraction(premium, d)}
+    return None
+
+
+def _proportional_from(points: list[tuple[int, int]], d: int) -> Optional[dict]:
+    # the points must lie on one line of slope coverage = 1 - excess in (0, 1]
+    l0, p0 = points[0]
+    if len(points) == 1:
+        return {"excess": Fraction(0), "premium": Fraction(l0 - p0, d)}
+    l1, p1 = points[1]
+    coverage = Fraction(p1 - p0, l1 - l0)
+    if not 0 < coverage <= 1:
         return None
-    points, d = profile
-    if len({pay for _, pay in points}) == 1:
-        premium = Fraction(-points[0][1], d)
-        return {"deductible": Fraction(0), "limit": Fraction(0), "premium": premium}
+    a, b = coverage.numerator, coverage.denominator
+    if any((pay - p0) * b != (lv - l0) * a for lv, pay in points):
+        return None
+    return {"excess": 1 - coverage, "premium": Fraction(a * l0 - b * p0, b * d)}
+
+
+def _deductible_limit_from(points: list[tuple[int, int]], d: int) -> Optional[dict]:
+    lowest, highest = points[0][1], points[-1][1]  # payments rise with the loss
+    if lowest == highest:
+        return {"deductible": Fraction(0), "limit": Fraction(0), "premium": Fraction(-lowest, d)}
     # Some point must lie on the slope-one segment, so its loss minus
     # payment determines deductible + premium; scan the candidates.
     for b in sorted({lv - pay for lv, pay in points}):
-        low = sorted({pay for lv, pay in points if pay > lv - b})
-        high = sorted({pay for lv, pay in points if pay < lv - b})
-        if len(low) > 1 or len(high) > 1:
+        low = {pay for lv, pay in points if pay > lv - b}
+        if len(low) > 1:
+            break  # the points above the line only gain members as b grows
+        high = {pay for lv, pay in points if pay < lv - b}
+        if len(high) > 1:
             continue
         on_line = [pay for lv, pay in points if pay == lv - b]
-        floor = low[0] if low else min(pay for _, pay in points)
-        cap = high[0] if high else max(pay for _, pay in points)
+        floor = low.pop() if low else lowest
+        cap = high.pop() if high else highest
         if cap < floor:
             continue
         if on_line and (min(on_line) < floor or max(on_line) > cap):
@@ -235,13 +232,27 @@ def _fit_deductible_limit(f: Payoff, w: Payoff) -> Optional[dict]:
     return None
 
 
-def _fit_indemnity(f: Payoff, w: Payoff) -> Optional[dict]:
-    profile = _loss_profile(f, w)
-    if profile is None:
-        return None
-    points, d = profile
+def _indemnity_from(points: list[tuple[int, int]], d: int) -> dict:
     schedule = tuple((Fraction(lv, d), Fraction(pay, d)) for lv, pay in points)
     return {"schedule": schedule, "premium": Fraction(0)}
+
+
+def _on_profile(
+    fit: Callable[[list[tuple[int, int]], int], Optional[dict]]
+) -> Callable[[Payoff, Payoff], Optional[dict]]:
+    """The fitter ``(f, w)`` that runs ``fit`` on the loss profile; no profile, no fit."""
+
+    def fitter(f: Payoff, w: Payoff) -> Optional[dict]:
+        profile = _loss_profile(f, w)
+        return None if profile is None else fit(*profile)
+
+    return fitter
+
+
+_fit_full = _on_profile(_full_from)
+_fit_proportional = _on_profile(_proportional_from)
+_fit_deductible_limit = _on_profile(_deductible_limit_from)
+_fit_indemnity = _on_profile(_indemnity_from)
 
 
 def _fit_contingency(f: Payoff, w: Payoff) -> Optional[dict]:
@@ -265,10 +276,24 @@ def is_member(kind: Union[str, InsuranceKind], f: Payoff, w: Payoff) -> bool:
 
 
 def classify_detailed(f: Payoff, w: Payoff) -> dict[InsuranceKind, dict]:
-    """Every insurance class ``f`` belongs to for risk ``w``, with fitted parameters."""
+    """Every insurance class ``f`` belongs to for risk ``w``, with fitted parameters.
+
+    Keys come in ``KIND_ORDER``.  Without a loss profile only cs can
+    hold; with one, is and cs hold and only fi, pr and dl are fitted.
+    """
     f._check_same_length(w)
-    fits = ((kind, _FITTERS[kind](f, w)) for kind in KIND_ORDER)
-    return {kind: fit for kind, fit in fits if fit is not None}
+    profile = _loss_profile(f, w)
+    if profile is None:
+        fits = {InsuranceKind.CONTINGENCY_SCHEDULE: _fit_contingency(f, w)}
+    else:
+        fits = {
+            InsuranceKind.FULL: _full_from(*profile),
+            InsuranceKind.PROPORTIONAL: _proportional_from(*profile),
+            InsuranceKind.DEDUCTIBLE_LIMIT: _deductible_limit_from(*profile),
+            InsuranceKind.INDEMNITY_SCHEDULE: _indemnity_from(*profile),
+            InsuranceKind.CONTINGENCY_SCHEDULE: {},
+        }
+    return {kind: fit for kind, fit in fits.items() if fit is not None}
 
 
 def classify(f: Payoff, w: Payoff) -> frozenset[InsuranceKind]:

@@ -3,16 +3,20 @@
 Decision procedures are exact.  The concave order is decided through
 prefix sums of sorted values (integrated quantile functions agree at the
 grid points ``k/n`` and are affine in between, so the grid comparison is
-exact); the better-hedge relation is decided on the finite grid of
-observed values, where both conditional distribution functions are step
-functions.
+exact).  The better-hedge relation is decided in one sweep over the
+levels of the risk: states join the cut ``w <= level`` one level at a
+time, an array over the observed payments keeps the difference of the
+two counts, and its prefix sums are checked after each level.  The
+counter-monotone relation is one sort of the states by the risk, after
+which ``f`` may never rise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, pairwise
+from operator import neg
 from typing import Optional
 
 from .space import (
@@ -138,13 +142,17 @@ def recognize_mps(f: Payoff, g: Payoff) -> Optional[MpsStep]:
 
 
 def counter_monotone(f: Payoff, w: Payoff) -> bool:
-    """Whether ``f`` and ``w`` move in opposite directions across all state pairs."""
+    """Whether ``f`` and ``w`` move in opposite directions across all state pairs.
+
+    Equivalently, every value of ``f`` on one level of ``w`` is at least
+    every value on the next higher level.  With the states sorted by
+    ``w`` ascending and, within a level, by ``f`` descending, that says
+    ``f`` never rises along the sorted states.
+    """
     f._check_same_length(w)
-    fs, ws = f.nums, w.nums  # positive denominators leave the signs of the products alone
-    for s, t in combinations(range(len(fs)), 2):
-        if (fs[s] - fs[t]) * (ws[s] - ws[t]) > 0:
-            return False
-    return True
+    # only comparisons within f and within w, so each keeps its own denominator
+    rising = [v for _, v in sorted(zip(w.nums, map(neg, f.nums)))]  # -f, which must never fall
+    return all(a <= b for a, b in pairwise(rising))
 
 
 def better_hedge(f: Payoff, g: Payoff, w: Payoff) -> bool:
@@ -154,22 +162,27 @@ def better_hedge(f: Payoff, g: Payoff, w: Payoff) -> bool:
     ``P(f <= t | w <= level) <= P(g <= t | w <= level)`` for every payment
     ``t`` and level with ``P(w <= level) > 0``.  Both sides are step
     functions, so checking levels at the observed values of ``w`` and
-    payments at the merged values of ``f`` and ``g`` is exact.
+    payments at the observed values of ``f`` is exact.  The states are
+    swept once in order of ``w``, so the cost is ``O(n log n + L*P)`` for
+    ``L`` levels and ``P`` payments.
     """
     f._check_same_length(g)
     f._check_same_length(w)
     if not equal_in_distribution(f, g):
         return False
     # equally distributed, so f and g share a denominator and their numerators compare
-    fs, gs, ws = f.nums, g.nums, w.nums
-    payments = sorted(set(fs) | set(gs))
-    for level in sorted(set(ws)):
-        cut = [i for i, v in enumerate(ws) if v <= level]
-        for t in payments:
-            count_f = sum(1 for i in cut if fs[i] <= t)
-            count_g = sum(1 for i in cut if gs[i] <= t)
-            if count_f > count_g:
-                return False
+    fs, gs = f.nums, g.nums
+    rank = {t: k for k, t in enumerate(sorted(set(fs)))}
+    # gap[k] accumulates count_g - count_f at payment k over the states with w <= level,
+    # so its prefix sums are count_g(t) - count_f(t) for every payment t
+    gap = [0] * len(rank)
+    states = sorted(zip(w.nums, fs, gs))
+    # the last level's cut holds every state, where the counts agree: f and g are equally distributed
+    for (level, a, b), (next_level, _, _) in pairwise(states):
+        gap[rank[b]] += 1
+        gap[rank[a]] -= 1
+        if next_level != level and min(accumulate(gap)) < 0:
+            return False
     return True
 
 

@@ -151,6 +151,12 @@ class TestPremiumPropensity:
         w, f = r.witness.payoffs["w"], r.witness.payoffs["f"]
         assert f == -w - pp.base(-w)
 
+    def test_replay_without_principle_names_it(self, models):
+        m = models["eu_convex_kink"]
+        r = check_premium_propensity(m, fair_principle(), BUDGET)
+        with pytest.raises(ValueError, match="needs the argument pp"):
+            replay_witness(r, m)
+
     def test_expected_value_loading_holds(self, models):
         r = check_premium_propensity(
             models["expected_value"], loading_principle(F(1, 5)), BUDGET
@@ -172,6 +178,12 @@ class TestCompareWeak:
         r = compare_weak(mA, mB, BUDGET)
         assert r.verdict == VIOLATED
         assert replay_witness(r, mA, mB=mB)
+
+    def test_replay_without_model_b_names_it(self, models):
+        mA, mB = models["eu_concave"], models["expected_value"]
+        r = compare_weak(mA, mB, BUDGET)
+        with pytest.raises(ValueError, match="needs the argument mB"):
+            replay_witness(r, mA)
 
     def test_rejects_non_secular(self, models):
         with pytest.raises(ValueError):

@@ -305,6 +305,10 @@ def fit_indemnity_oracle(f: Payoff, w: Payoff) -> Optional[dict]:
     return {"schedule": tuple(points), "premium": F(0)}
 
 
+def fit_contingency_oracle(f: Payoff, w: Payoff) -> Optional[dict]:
+    return {} if counter_monotone_oracle(f, w) else None
+
+
 def dl_contract_oracle(w: Payoff, d: F, lam: F, pi: F) -> Payoff:
     return Payoff(tuple(min(max(lv - d, F(0)), lam) - pi for lv in (-w).values))
 
@@ -397,6 +401,17 @@ def contracts(draw):
 
 
 @st.composite
+def tied_hedges(draw):
+    """``(f, g, w)``: up to 12 states, ``g`` a rearrangement of ``f``, ``w`` on at most 3 levels."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    f = draw(payoff(n))
+    g = f.permute(draw(st.permutations(range(1, n + 1))))
+    levels = draw(st.lists(mixed, min_size=1, max_size=3))
+    w = Payoff(tuple(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))))
+    return f, g, w
+
+
+@st.composite
 def steps(draw):
     """``(f, step)`` with the step's states inside ``f``, in either value order."""
     n = draw(st.integers(min_value=2, max_value=8))
@@ -431,6 +446,15 @@ class TestOrders:
         w = data.draw(payoff(len(f)))
         assert outcome(orders.better_hedge, f, g, w) == outcome(better_hedge_oracle, f, g, w)
         assert outcome(orders.better_hedge, g, f, w) == outcome(better_hedge_oracle, g, f, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_hedges())
+    def test_level_sweeps(self, case):
+        f, g, w = case
+        assert orders.better_hedge(f, g, w) == better_hedge_oracle(f, g, w)
+        assert orders.better_hedge(g, f, w) == better_hedge_oracle(g, f, w)
+        assert orders.counter_monotone(f, w) == counter_monotone_oracle(f, w)
+        assert orders.counter_monotone(g, w) == counter_monotone_oracle(g, w)
 
     @settings(max_examples=200, deadline=None)
     @given(steps())
@@ -474,9 +498,27 @@ class TestInsurance:
             (insurance._fit_proportional, fit_proportional_oracle),
             (insurance._fit_deductible_limit, fit_deductible_limit_oracle),
             (insurance._fit_indemnity, fit_indemnity_oracle),
-            (insurance._fit_contingency, lambda f, w: {} if counter_monotone_oracle(f, w) else None),
+            (insurance._fit_contingency, fit_contingency_oracle),
         ):
             assert outcome(new, f, w) == outcome(old, f, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(contracts())
+    def test_classify_detailed(self, case):
+        w, f = case
+        oracles = (
+            fit_full_oracle,
+            fit_proportional_oracle,
+            fit_deductible_limit_oracle,
+            fit_indemnity_oracle,
+            fit_contingency_oracle,
+        )
+        fits = ((kind, fit(f, w)) for kind, fit in zip(insurance.KIND_ORDER, oracles))
+        want = {kind: fit for kind, fit in fits if fit is not None}
+        # the repr shows the key order, the params and their types
+        assert outcome(insurance.classify_detailed, f, w) == ("ok", repr(want))
+        if insurance._loss_profile(f, w) is None:
+            assert set(want) <= {insurance.InsuranceKind.CONTINGENCY_SCHEDULE}
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=8).flatmap(payoff), mixed, mixed, mixed)
