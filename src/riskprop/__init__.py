@@ -64,7 +64,6 @@ from .preferences import (
     PiecewiseLinearFn,
     PreferenceModel,
     certainty_equivalent,
-    custom_model,
     dual_model,
     dual_value,
     eu_value,

@@ -37,8 +37,7 @@ each instance's sums before its parts (``(E[h], h)`` for the split of
 ``h``; ``(f0, step.apply(f0))`` for a spread pair), so a spread pair is
 factored into ``(w, f, g)`` only when the gap on its sums is strict.
 And each search evaluates ``V`` and ``rho`` through a memo keyed on the
-laws of the payoffs, dropped when the search returns; ``custom`` models
-skip it.
+laws of the payoffs, dropped when the search returns.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, permutations
+from operator import lt, ne
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .decompose import deductible_triple, proportional_triple, split_zero_mean
@@ -78,8 +78,6 @@ HOLDS = "holds_on_budget"
 VIOLATED = "violated"
 
 PROPENSITY_KINDS = ("fi", "pr", "dl", "is", "cs", "hedging")
-
-FLOAT_TOL = 1e-9
 
 _SUBGRID4 = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
 _DELTAS = (Fraction(1, 2), Fraction(1), Fraction(2))
@@ -129,8 +127,8 @@ class Witness:
 
     relation: str
     payoffs: Mapping[str, Payoff]
-    lhs: Union[Fraction, float]
-    rhs: Union[Fraction, float]
+    lhs: Fraction
+    rhs: Fraction
 
 
 @dataclass(frozen=True)
@@ -161,19 +159,6 @@ Predicate = Callable[..., Optional[tuple]]
 Sides = Callable[[Payoff, Payoff], tuple]
 
 
-def _strictly_less(a, b) -> bool:
-    """Strict violation test honoring the float tolerance for inexact evaluators."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a < b
-    return float(a) < float(b) - FLOAT_TOL
-
-
-def _values_differ(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a != b
-    return abs(float(a) - float(b)) > FLOAT_TOL
-
-
 def _rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"riskprop:{seed}:{trial}")
 
@@ -202,14 +187,12 @@ def _law(p: Payoff) -> tuple[int, ...]:
     return (len(p.nums), p.den, *sorted(p.nums))
 
 
-def _per_law(m: PreferenceModel, fn: Callable[..., Any]) -> Callable[..., Any]:
-    """``fn`` of payoffs memoized on their laws, for one search; ``custom`` models skip the memo.
+def _per_law(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """``fn`` of payoffs memoized on their laws, for one search.
 
-    Every built-in model is law invariant, so the memo changes cost, never
-    results.  It starts over when full, which bounds its memory at any budget.
+    Every model is law invariant, so the memo changes cost, never results.
+    It starts over when full, which bounds its memory at any budget.
     """
-    if m.family == "custom":
-        return fn
     memo: dict = {}
 
     def call(*payoffs: Payoff):
@@ -225,20 +208,20 @@ def _per_law(m: PreferenceModel, fn: Callable[..., Any]) -> Callable[..., Any]:
 
 def _value_sides(m: PreferenceModel) -> Sides:
     """``(f, g) -> (V(f), V(g))`` with a fresh memo."""
-    value = _per_law(m, m.value)
+    value = _per_law(m.value)
     return lambda f, g: (value(f), value(g))
 
 
 def _rho_sides(mA: PreferenceModel, mB: PreferenceModel) -> Sides:
     """``(f, g) -> (rho_B(g, f), rho_A(g, f))`` with a fresh memo per model."""
-    rho_a = _per_law(mA, lambda g, f: rho(mA, g, f))
-    rho_b = _per_law(mB, lambda g, f: rho(mB, g, f))
+    rho_a = _per_law(lambda g, f: rho(mA, g, f))
+    rho_b = _per_law(lambda g, f: rho(mB, g, f))
     return lambda f, g: (rho_b(g, f), rho_a(g, f))
 
 
 def _if_less(sides: tuple) -> Optional[tuple]:
     """The ``(lhs, rhs)`` pair when ``lhs < rhs`` strictly, else None."""
-    return sides if _strictly_less(*sides) else None
+    return sides if sides[0] < sides[1] else None
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +573,7 @@ def _insurance_row(sides, budget, n_max, kind, pp):
         if not equal_in_distribution(f, g):
             return None
         lhs, rhs = sides(*(sums or (w + f, w + g)))
-        if not _strictly_less(lhs, rhs):
+        if not lhs < rhs:
             return None
         if kind == "hedging":
             return (lhs, rhs) if better_hedge(f, g, w) else None
@@ -605,7 +588,7 @@ def _insurance_row(sides, budget, n_max, kind, pp):
                 factor = proportional_triple if source == "pr" else deductible_triple
                 for f0, step in _spread_pairs(budget.value_grid, source == "pr"):
                     g0 = step.apply(f0)
-                    if not _strictly_less(*sides(f0, g0)):
+                    if not lt(*sides(f0, g0)):
                         yield None
                         continue
                     t = factor(f0, step)
@@ -652,7 +635,7 @@ def _pair_row(structure, offset, draw, splits, sides, budget, n_max, kind, pp):
         if not structure(w, f, g):
             return None
         lhs, rhs = sides(w + f, w + g)
-        return (lhs, rhs) if _values_differ(lhs, rhs) else None
+        return (lhs, rhs) if lhs != rhs else None
 
     def trials() -> Iterator[Trial]:
         for _, w, f, g in _split_instances(budget.value_grid, n_max) if splits else ():
@@ -671,8 +654,7 @@ def _ev_row(sides, budget, n_max, kind, pp):
     def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
         f, g = parts["f"], parts["g"]
         lhs, rhs = sides(f, g)
-        model_pref = not _strictly_less(lhs, rhs)
-        return (lhs, rhs) if model_pref != (expectation(f) >= expectation(g)) else None
+        return (lhs, rhs) if (lhs >= rhs) != (expectation(f) >= expectation(g)) else None
 
     def trials() -> Iterator[Trial]:
         for rng, n in _random_trials(budget, 50_000):
@@ -685,13 +667,13 @@ def _ev_row(sides, budget, n_max, kind, pp):
 # report-name head -> (row builder, relation, grid and split sweeps capped at 4 states)
 _ROWS: dict[str, tuple[Callable[..., tuple], str, bool]] = {
     "weak_risk_aversion": (
-        partial(_expectation_row, "f", _strictly_less, 0), "V(E[f]) < V(f)", False
+        partial(_expectation_row, "f", lt, 0), "V(E[f]) < V(f)", False
     ),
     "strong_risk_aversion": (_spread_row, "V(f) < V(g) with f >=cv g", False),
     "propensity": (_insurance_row, "V(w+f) < V(w+g)", False),
     "premium_propensity": (_premium_row, "V(w+f) < V(w+g)", False),
     "risk_neutrality": (
-        partial(_expectation_row, "f", _values_differ, 10_000), "V(E[f]) != V(f)", True
+        partial(_expectation_row, "f", ne, 10_000), "V(E[f]) != V(f)", True
     ),
     "full_insurance_neutrality": (
         partial(_pair_row, _is_full_insurance, 20_000, _insured, True),
@@ -712,7 +694,7 @@ _ROWS: dict[str, tuple[Callable[..., tuple], str, bool]] = {
         _ev_row, "(V(f) >= V(g)) disagrees with (E[f] >= E[g])", True
     ),
     "compare_weak": (
-        partial(_expectation_row, "g", _strictly_less, 0), "rho_B(g, E[g]) < rho_A(g, E[g])", True
+        partial(_expectation_row, "g", lt, 0), "rho_B(g, E[g]) < rho_A(g, E[g])", True
     ),
     "compare_strong": (_spread_row, "rho_B(g,f) < rho_A(g,f) with f >=cv g", True),
     "compare_propensity": (_insurance_row, "rho_B(w+g, w+f) < rho_A(w+g, w+f)", True),
@@ -750,7 +732,7 @@ def _require_total(m: PreferenceModel) -> None:
 
 def _require_comparable(mA: PreferenceModel, mB: PreferenceModel) -> None:
     for m in (mA, mB):
-        if not (m.monotone and m.secular and m.has_total_evaluator()):
+        if not m.has_total_evaluator():
             raise ValueError(
                 f"comparative checks need monotone, secular models with total "
                 f"evaluators; {m.name!r} is not"
@@ -799,12 +781,8 @@ def check_neutrality(m: PreferenceModel, budget: SearchBudget) -> CertificateRep
     """Check the neutrality family: risk, full-insurance, hedging, dependence, and the expected-value representation."""
     _require_total(m)
     sub_budget = replace(budget, trials=max(1, budget.trials // 4))
-    heads, notes = _NEUTRALITY, ()
-    if not m.monotone:
-        heads = heads[:-1]
-        notes = ("expected-value representation check skipped: model is not monotone",)
     sides = _value_sides(m)  # one memo for the whole family
-    details = {h: _search(_row(h, sub_budget, m, sides=sides), sub_budget) for h in heads}
+    details = {h: _search(_row(h, sub_budget, m, sides=sides), sub_budget) for h in _NEUTRALITY}
     first_bad = next((r for r in details.values() if r.violated), None)
     return CertificateReport(
         property=f"neutrality[{m.name}]",
@@ -813,7 +791,6 @@ def check_neutrality(m: PreferenceModel, budget: SearchBudget) -> CertificateRep
         trials_run=sum(r.trials_run for r in details.values()),
         seed=budget.seed,
         budget=budget,
-        notes=notes,
         details=details,
     )
 

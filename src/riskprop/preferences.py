@@ -1,9 +1,9 @@
 """Preference models over payoffs: expected utility, the dual model, and friends.
 
-Built-in evaluators are exact.  Utilities and distortions are piecewise
-linear with rational breakpoints, so certainty equivalents and
-compensation amounts solve to exact rationals; a user-supplied float
-evaluator falls back to bisection at tolerance 1e-12.
+Every evaluator is exact.  Utilities and distortions are piecewise
+linear with rational breakpoints (a distortion may also be a callable
+returning exact rationals), so values, certainty equivalents and
+compensation amounts are exact rationals.
 
 The dual model uses the Choquet convention with values sorted
 descending against increments of the distortion at the grid ``k/n``;
@@ -32,15 +32,12 @@ __all__ = [
     "expected_utility_model",
     "dual_model",
     "mean_variance_model",
-    "custom_model",
     "eu_value",
     "dual_value",
     "mv_compare",
     "certainty_equivalent",
     "rho",
 ]
-
-BISECTION_TOL = 1e-12
 
 Distortion = Union["PiecewiseLinearFn", Callable[[Fraction], Fraction]]
 
@@ -148,19 +145,17 @@ def eu_value(u: PiecewiseLinearFn, f: Payoff) -> Fraction:
     return Fraction(u._scaled_sum(_nums_over(f, d), d, u._scaled_xnums(d)), u._q * d * len(f))
 
 
-def _increments(g: Distortion, n: int) -> tuple[tuple, Optional[int]]:
-    """Increments ``g(k/n) - g((k-1)/n)``, validated, as integers over their lcm when rational.
+def _increments(g: Distortion, n: int) -> tuple[tuple[int, ...], int]:
+    """Increments ``g(k/n) - g((k-1)/n)``, validated, as integers over their lcm.
 
-    Non-rational increments (a float-valued callable) come back as they are, over ``None``.
+    A float-valued callable is refused (``TypeError``) at its first value.
     """
-    grid = [g(Fraction(k, n)) for k in range(n + 1)]
+    grid = [as_fraction(g(Fraction(k, n))) for k in range(n + 1)]
     if grid[0] != 0 or grid[-1] != 1:
         raise ValueError("distortion must satisfy g(0) = 0 and g(1) = 1")
     if any(a > b for a, b in zip(grid, grid[1:])):
         raise ValueError("distortion must be increasing")
     weights = [b - a for a, b in zip(grid, grid[1:])]
-    if not all(isinstance(wt, (int, Fraction)) for wt in weights):
-        return tuple(weights), None
     wden = lcm(*(wt.denominator for wt in weights))
     return tuple(_numerators(weights, wden)), wden
 
@@ -168,7 +163,7 @@ def _increments(g: Distortion, n: int) -> tuple[tuple, Optional[int]]:
 _distortion_weights = lru_cache(maxsize=1024)(_increments)
 
 
-def dual_value(g: Distortion, f: Payoff) -> Union[Fraction, float]:
+def dual_value(g: Distortion, f: Payoff) -> Fraction:
     """Choquet value: descending values weighted by distortion increments of ``k/n``.
 
     A ``PiecewiseLinearFn`` keeps its increments per ``n`` on the instance: an
@@ -182,9 +177,6 @@ def dual_value(g: Distortion, f: Payoff) -> Union[Fraction, float]:
         weights, wden = g._weights[n]
     else:
         weights, wden = _distortion_weights(g, n)
-    if wden is None:
-        ordered = sorted(f.values, reverse=True)
-        return sum((v * wt for v, wt in zip(ordered, weights)), Fraction(0))
     ordered = sorted(f.nums, reverse=True)
     return Fraction(sum(v * wt for v, wt in zip(ordered, weights)), f.den * wden)
 
@@ -214,33 +206,27 @@ def mv_compare(f: Payoff, g: Payoff) -> Comparison:
 class PreferenceModel:
     """A law-invariant preference over payoffs.
 
-    Complete models carry a total evaluator (``value``); the mean-variance
-    model instead carries only the partial-order comparator.  ``family``
-    selects exact algebra for the built-ins; ``custom`` models solve by
-    bisection.
+    ``family`` fixes the model's properties.  Every model is monotone.
+    The ``ev``, ``eu`` and ``dual`` models are complete and secular, with a
+    total evaluator (``value``); the mean-variance model (``mv``) is
+    neither and carries only the partial-order comparator.
     """
 
     name: str
-    family: str  # "ev" | "eu" | "dual" | "mv" | "custom"
-    monotone: bool
-    secular: bool
-    complete: bool
+    family: str  # "ev" | "eu" | "dual" | "mv"
     utility: Optional[PiecewiseLinearFn] = None
     distortion: Optional[Distortion] = None
-    evaluator: Optional[Callable[[Payoff], float]] = None
 
     def has_total_evaluator(self) -> bool:
-        return self.family in ("ev", "eu", "dual", "custom")
+        return self.family != "mv"
 
-    def value(self, f: Payoff) -> Union[Fraction, float]:
+    def value(self, f: Payoff) -> Fraction:
         if self.family == "ev":
             return expectation(f)
         if self.family == "eu":
             return eu_value(self.utility, f)
         if self.family == "dual":
             return dual_value(self.distortion, f)
-        if self.family == "custom":
-            return self.evaluator(f)
         raise ValueError(f"model {self.name!r} has no total evaluator")
 
     def compare(self, f: Payoff, g: Payoff) -> Comparison:
@@ -255,17 +241,13 @@ class PreferenceModel:
 
 
 def expected_value_model() -> PreferenceModel:
-    return PreferenceModel(
-        name="expected-value", family="ev", monotone=True, secular=True, complete=True
-    )
+    return PreferenceModel(name="expected-value", family="ev")
 
 
 def expected_utility_model(u: PiecewiseLinearFn, name: str = "expected-utility") -> PreferenceModel:
     if not u.strictly_increasing():
         raise ValueError("utility must be strictly increasing")
-    return PreferenceModel(
-        name=name, family="eu", monotone=True, secular=True, complete=True, utility=u
-    )
+    return PreferenceModel(name=name, family="eu", utility=u)
 
 
 def dual_model(distortion: Distortion, name: str = "dual") -> PreferenceModel:
@@ -274,62 +256,21 @@ def dual_model(distortion: Distortion, name: str = "dual") -> PreferenceModel:
             raise ValueError("distortion must be increasing")
         if distortion(Fraction(0)) != 0 or distortion(Fraction(1)) != 1:
             raise ValueError("distortion must satisfy g(0) = 0 and g(1) = 1")
-    return PreferenceModel(
-        name=name,
-        family="dual",
-        monotone=True,
-        secular=True,
-        complete=True,
-        distortion=distortion,
-    )
+    return PreferenceModel(name=name, family="dual", distortion=distortion)
 
 
 def mean_variance_model() -> PreferenceModel:
     # not secular: no compensation makes a high-variance payoff indifferent
     # to a low-variance one at every level, and the order is incomplete
-    return PreferenceModel(
-        name="mean-variance", family="mv", monotone=True, secular=False, complete=False
-    )
-
-
-def custom_model(
-    evaluator: Callable[[Payoff], float],
-    name: str = "custom",
-    monotone: bool = True,
-    secular: bool = True,
-) -> PreferenceModel:
-    return PreferenceModel(
-        name=name,
-        family="custom",
-        monotone=monotone,
-        secular=secular,
-        complete=True,
-        evaluator=evaluator,
-    )
+    return PreferenceModel(name="mean-variance", family="mv")
 
 
 def _require_secular(m: PreferenceModel, what: str) -> None:
-    if not (m.monotone and m.secular and m.has_total_evaluator()):
+    if not m.has_total_evaluator():
         raise ValueError(
             f"{what} needs a monotone, secular model with a total evaluator; "
             f"{m.name!r} is not"
         )
-
-
-def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if flo < 0 or fhi > 0:
-        raise ValueError(
-            "bracket failure: evaluator is not monotone on the bracket "
-            f"[{lo}, {hi}] (endpoint signs {flo:+.3g}, {fhi:+.3g})"
-        )
-    while hi - lo > BISECTION_TOL:
-        mid = (lo + hi) / 2
-        if fn(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def _rho_eu(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> Fraction:
@@ -359,26 +300,15 @@ def _rho_eu(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> Fraction:
     return Fraction(r * active + value, d * active)
 
 
-def certainty_equivalent(m: PreferenceModel, f: Payoff) -> Union[Fraction, float]:
+def certainty_equivalent(m: PreferenceModel, f: Payoff) -> Fraction:
     """The constant the model finds indifferent to ``f``."""
     _require_secular(m, "certainty_equivalent")
-    if m.family == "ev":
-        return expectation(f)
-    if m.family == "dual":
-        return m.value(f)  # constants evaluate to themselves
     if m.family == "eu":
         return m.utility.inverse(eu_value(m.utility, f))
-    lo, hi = float(f.min_value()), float(f.max_value())
-    if lo == hi:
-        return lo
-    target = m.value(f)
-    n = len(f)
-    return _bisect_decreasing(
-        lambda c: target - m.value(Payoff.constant(Fraction(c), n)), lo, hi
-    )
+    return m.value(f)  # ev and dual: constants evaluate to themselves
 
 
-def rho(m: PreferenceModel, g: Payoff, f: Payoff) -> Union[Fraction, float]:
+def rho(m: PreferenceModel, g: Payoff, f: Payoff) -> Fraction:
     """Compensation making ``f - rho`` indifferent to ``g``: the strength of preference for ``f`` over ``g``.
 
     Positive exactly when the model prefers ``f``; with ``f`` constant at
@@ -386,14 +316,6 @@ def rho(m: PreferenceModel, g: Payoff, f: Payoff) -> Union[Fraction, float]:
     """
     _require_secular(m, "rho")
     f._check_same_length(g)
-    if m.family == "ev":
-        return expectation(f) - expectation(g)
-    if m.family == "dual":
-        return m.value(f) - m.value(g)  # Choquet values translate one-for-one
     if m.family == "eu":
         return _rho_eu(m.utility, g, f)
-    spread = float(f.max_value() - g.min_value()) + 1.0
-    target = m.value(g)
-    return _bisect_decreasing(
-        lambda r: m.value(f - Fraction(r)) - target, -spread, spread
-    )
+    return m.value(f) - m.value(g)  # ev and dual values translate one for one

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping, Union
+from typing import Any, Mapping
 
 from .certify import CertificateReport, SearchBudget, Witness
 from .decompose import InsuranceTriple, MpsChain, Rearrangement, ZeroMeanSplit
@@ -78,10 +78,8 @@ def _check_digits(text: str, where: str) -> None:
             raise InputError(f"{where}: {part} needs more than {MAX_DIGITS} digits")
 
 
-def format_fraction(x: Union[Fraction, float]) -> Union[str, float]:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    return float(x)
+def format_fraction(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
@@ -150,6 +148,8 @@ def model_from_obj(obj: Any, where: str = "model") -> PreferenceModel:
         raise InputError(f"{where}: expected an object with 'type'")
     mtype = obj.get("type")
     name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise InputError(f"{where}.name: expected a string")
     if mtype == "ev":
         return expected_value_model()
     if mtype == "mv":

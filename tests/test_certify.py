@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
+from operator import lt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,11 +42,9 @@ from riskprop.certify import (
     _shrink,
     _split_instances,
     _spread_pairs,
-    _strictly_less,
 )
 from riskprop import certify
 from riskprop.decompose import deductible_triple, proportional_triple
-from riskprop.preferences import custom_model
 from conftest import P, build_zoo
 
 BUDGET = SearchBudget(max_n=4, exhaustive_n=4, trials=80, seed=0)
@@ -316,7 +315,7 @@ def _structure_first(kind, sides):
         elif not _kind_member(kind, f, w):
             return None
         lhs, rhs = sides(w + f, w + g)
-        return (lhs, rhs) if _strictly_less(lhs, rhs) else None
+        return (lhs, rhs) if lt(lhs, rhs) else None
 
     return violation
 
@@ -381,7 +380,7 @@ class TestReplayEnforcesStructure:
         candidates = []
         for vs in sorted(set(permutations(f.values))):
             f2 = Payoff(vs)
-            gap = _strictly_less(rho(mB, w + g, w + f2), rho(mA, w + g, w + f2))
+            gap = lt(rho(mB, w + g, w + f2), rho(mA, w + g, w + f2))
             if gap and not _kind_member("pr", f2, w):
                 candidates.append(f2)
         assert candidates
@@ -396,7 +395,7 @@ class TestReplayEnforcesStructure:
         w, f, g = (r.witness.payoffs[k] for k in ("w", "f", "g"))
         swapped = replace(r, witness=replace(r.witness, payoffs={"w": w, "f": g, "g": f}))
         m = models["dual_convex"]
-        assert _strictly_less(m.value(w + g), m.value(w + f))
+        assert lt(m.value(w + g), m.value(w + f))
         assert not better_hedge(g, f, w)
         assert not replay_witness(swapped, m)
 
@@ -542,8 +541,8 @@ class TestLazyPhaseOne:
     )
     def test_memo_matches_direct_evaluation_on_rearrangements(self, a, b, vals, rnd):
         mA, mB = ZOO[a], ZOO[b]
-        value = _per_law(mA, mA.value)
-        rho_b = _per_law(mB, lambda g, f: rho(mB, g, f))
+        value = _per_law(mA.value)
+        rho_b = _per_law(lambda g, f: rho(mB, g, f))
         f = Payoff(tuple(vals))
         g = Payoff(tuple(rnd.choice(vals) for _ in vals))
         for _ in range(4):
@@ -555,7 +554,7 @@ class TestLazyPhaseOne:
     def test_full_memo_starts_over(self, monkeypatch):
         m = ZOO["dual_nonconvex"]
         calls = []
-        value = _per_law(m, lambda f: calls.append(f) or m.value(f))
+        value = _per_law(lambda f: calls.append(f) or m.value(f))
         monkeypatch.setattr(certify, "_MEMO_ENTRIES", 2)
         for vals in ((0, 1), (1, 0), (0, 2), (2, 1), (1, 0), (0, 1)):
             assert value(P(*vals)) == m.value(P(*vals))
@@ -565,7 +564,3 @@ class TestLazyPhaseOne:
         want = _outcome(compare_propensity("dl", ZOO["eu_concave"], m, budget))
         monkeypatch.setattr(certify, "_MEMO_ENTRIES", 3)
         assert _outcome(compare_propensity("dl", ZOO["eu_concave"], m, budget)) == want
-
-    def test_custom_models_skip_the_memo(self):
-        m = custom_model(lambda f: expectation(f))
-        assert _per_law(m, m.value) == m.value

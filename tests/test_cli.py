@@ -339,6 +339,17 @@ class TestInputHandling:
         bad = files["write"]("badm.json", {"type": "nope"})
         assert main(["preference", bad, "--value", files["f"]]) == 2
 
+    @pytest.mark.parametrize("name", [{"a": 1}, ["eu"], 7], ids=["object", "list", "number"])
+    def test_model_name_must_be_a_string(self, files, capsys, name):
+        bad = files["write"]("badname.json", {
+            "type": "eu", "name": name, "fn": {"breakpoints": [["-1", "-1"], ["0", "0"], ["1", "1/2"]]},
+        })
+        argv = ["certify", "--property", "weak_ra", "--model", bad, "--trials", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "badname.json.name: expected a string" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_out_file(self, files, tmp_path):
         target = tmp_path / "result.json"
         assert main(["--out", str(target), "order", "--cv", files["f"], files["g"]]) == 0
