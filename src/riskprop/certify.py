@@ -29,15 +29,18 @@ names and calls its predicate.  Every stream runs two phases:
   ``n <= exhaustive_n`` (deduplicated by the law of ``w + g``) and a
   random sample of them otherwise.
 
-Three devices change cost, never results.  The insurance propensity
+Four devices change cost, never results.  The insurance propensity
 predicates test equal distributions of ``f`` and ``g``, then the strict
 value gap, then the structure (``f`` a contract of the kind on ``w``, or
 for hedging a better hedge than ``g``).  Phase 1 of those searches knows
 each instance's sums before its parts (``(E[h], h)`` for the split of
-``h``; ``(f0, step.apply(f0))`` for a spread pair), so a spread pair is
-factored into ``(w, f, g)`` only when the gap on its sums is strict.
-And each search evaluates ``V`` and ``rho`` through a memo keyed on the
-laws of the payoffs, dropped when the search returns.
+``h``; ``(f0, g0)`` for a spread pair, cached with its spread
+``g0 = step.apply(f0)``), so a spread pair is factored into ``(w, f, g)``
+only when the gap on its sums is strict.  Each search evaluates ``V``,
+or both sides ``(rho_B, rho_A)`` of a comparison, through one memo keyed
+on the laws of the payoffs, dropped when the search returns.  And a
+rearrangement sweep forms each ``w + g`` as integers, deduplicates on
+its law and builds payoffs only for a law it has not tested.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, permutations
+from math import lcm
 from operator import lt, ne
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -54,7 +58,7 @@ from .decompose import deductible_triple, proportional_triple, split_zero_mean
 from .insurance import PremiumPrinciple, is_member, make_contract
 from .orders import MpsStep, better_hedge, concave_order
 from .preferences import PreferenceModel, rho
-from .space import Payoff, _from_ints, as_fraction, equal_in_distribution, expectation
+from .space import Payoff, _from_ints, _nums_over, as_fraction, equal_in_distribution, expectation
 
 __all__ = [
     "SearchBudget",
@@ -113,6 +117,8 @@ class SearchBudget:
             raise ValueError("exhaustive_n must not exceed max_n")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
+        if self.trials > 100_000:  # some minutes of search at the slowest per-trial cost
+            raise ValueError("trials must be <= 100000")
         grid = tuple(sorted({as_fraction(v) for v in self.value_grid}))
         if not grid:
             raise ValueError("value grid must be nonempty")
@@ -167,18 +173,20 @@ def _random_payoff(rng: random.Random, grid: Sequence[Fraction], n: int) -> Payo
     return Payoff(tuple(rng.choice(grid) for _ in range(n)))
 
 
-def _sampled_permutations(rng: random.Random, f: Payoff, count: int) -> list[Payoff]:
+def _sampled_permutations(rng: random.Random, f: Payoff, count: int) -> list[tuple[int, ...]]:
+    """``count`` successive shuffles of ``f``'s numerators (over ``f.den``)."""
     out = []
     vals = list(f.nums)
     for _ in range(count):
         rng.shuffle(vals)
-        out.append(_from_ints(tuple(vals), f.den))
+        out.append(tuple(vals))
     return out
 
 
-def _alternatives(rng: random.Random, f: Payoff, budget: SearchBudget) -> list[Payoff]:
+def _alternatives(rng: random.Random, f: Payoff, budget: SearchBudget) -> list[tuple[int, ...]]:
+    """Rearrangements of ``f`` as numerator tuples over ``f.den``, which keep it canonical."""
     if len(f) <= budget.exhaustive_n:  # every distinct rearrangement, in first-seen order
-        return [_from_ints(perm, f.den) for perm in dict.fromkeys(permutations(f.nums))]
+        return list(dict.fromkeys(permutations(f.nums)))
     return _sampled_permutations(rng, f, 20)
 
 
@@ -213,10 +221,9 @@ def _value_sides(m: PreferenceModel) -> Sides:
 
 
 def _rho_sides(mA: PreferenceModel, mB: PreferenceModel) -> Sides:
-    """``(f, g) -> (rho_B(g, f), rho_A(g, f))`` with a fresh memo per model."""
-    rho_a = _per_law(lambda g, f: rho(mA, g, f))
-    rho_b = _per_law(lambda g, f: rho(mB, g, f))
-    return lambda f, g: (rho_b(g, f), rho_a(g, f))
+    """``(f, g) -> (rho_B(g, f), rho_A(g, f))`` with a fresh memo: one entry per pair of laws."""
+    both = _per_law(lambda g, f: (rho(mB, g, f), rho(mA, g, f)))
+    return lambda f, g: both(g, f)
 
 
 def _if_less(sides: tuple) -> Optional[tuple]:
@@ -257,8 +264,8 @@ def _split_instances(
 @lru_cache(maxsize=64)
 def _spread_pairs(
     grid: tuple[Fraction, ...], strict: bool
-) -> tuple[tuple[Payoff, MpsStep], ...]:
-    """(f, step) spread instances, one sorted representative per distribution.
+) -> tuple[tuple[Payoff, MpsStep, Payoff], ...]:
+    """(f, step, step.apply(f)) spread instances, one sorted representative per distribution.
 
     Full grid at n <= 3, the fixed subgrid at n = 4; on a sorted payoff
     every donor < recipient state pair is a valid pinch, and relabelled
@@ -274,7 +281,8 @@ def _spread_pairs(
                     if strict and f.nums[s1 - 1] == f.nums[s2 - 1]:
                         continue
                     for delta in deltas:
-                        out.append((f, MpsStep(s1, s2, delta)))
+                        step = MpsStep(s1, s2, delta)
+                        out.append((f, step, step.apply(f)))
     return tuple(out)
 
 
@@ -352,7 +360,7 @@ class _Sweep(NamedTuple):
 
     w: Payoff
     f: Payoff
-    alternatives: list[Payoff]
+    alternatives: list[tuple[int, ...]]  # rearrangements of f, as numerators over f.den
 
 
 # one trial of an instance stream: None (an instance with nothing to test), the parts,
@@ -376,23 +384,29 @@ class Property:
 
 
 def _sweep_alternatives(
-    w: Payoff, f: Payoff, alternatives: Iterable[Payoff], test: Predicate
+    w: Payoff, f: Payoff, alternatives: Iterable[tuple[int, ...]], test: Predicate
 ) -> Optional[tuple[Payoff, tuple]]:
     """Test ``(w, f, g)`` for each alternative ``g``, deduplicated by the distribution of ``w + g``.
 
-    Law invariance makes the deduplication exact.  ``test`` gets the parts
-    and the sums ``(w + f, w + g)``: ``w + f`` is built once per sweep and
-    ``w + g`` once per alternative.
+    Each alternative is a rearrangement of ``f`` as numerators over
+    ``f.den``.  The sweep puts ``w`` and ``g`` over ``d = lcm(w.den, f.den)``
+    once and forms ``w + g`` as integers; with ``n`` and ``d`` fixed, the
+    sorted sums are the law, and law invariance makes the deduplication
+    exact.  ``g`` and ``w + g`` become payoffs only for a law not seen yet,
+    and ``test`` gets the parts and the sums ``(w + f, w + g)``.
     """
+    d = lcm(w.den, f.den)
+    ws, k = _nums_over(w, d), d // f.den
     wf = w + f
     seen = set()
-    for g in alternatives:
-        wg = w + g
-        key = _law(wg)
+    for perm in alternatives:
+        sums = tuple([a + k * b for a, b in zip(ws, perm)])
+        key = tuple(sorted(sums))
         if key in seen:
             continue
         seen.add(key)
-        sides = test({"w": w, "f": f, "g": g}, (wf, wg))
+        g = _from_ints(perm, f.den)
+        sides = test({"w": w, "f": f, "g": g}, (wf, _from_ints(sums, d)))
         if sides is not None:
             return g, sides
     return None
@@ -552,8 +566,8 @@ def _spread_row(sides, budget, n_max, kind, pp):
         return _if_less(sides(f, g)) if concave_order(f, g) else None
 
     def trials() -> Iterator[Trial]:
-        for f, step in _spread_pairs(budget.value_grid, False):
-            yield {"f": f, "g": step.apply(f)}
+        for f, _, g in _spread_pairs(budget.value_grid, False):
+            yield {"f": f, "g": g}
         for rng, n in _random_trials(budget):
             f = _random_payoff(rng, budget.value_grid, n)
             g = _random_spread_chain(rng, f, rng.randint(1, 3))
@@ -586,8 +600,7 @@ def _insurance_row(sides, budget, n_max, kind, pp):
         else:
             for source in (kind,) if kind in ("pr", "dl") else ("pr", "dl"):
                 factor = proportional_triple if source == "pr" else deductible_triple
-                for f0, step in _spread_pairs(budget.value_grid, source == "pr"):
-                    g0 = step.apply(f0)
+                for f0, step, g0 in _spread_pairs(budget.value_grid, source == "pr"):
                     if not lt(*sides(f0, g0)):
                         yield None
                         continue
@@ -642,8 +655,8 @@ def _pair_row(structure, offset, draw, splits, sides, budget, n_max, kind, pp):
             yield {"w": w, "f": f, "g": g}
         for rng, n in _random_trials(budget, offset):
             w, f = draw(rng, budget, n)
-            for g in _sampled_permutations(rng, f, 6):
-                yield {"w": w, "f": f, "g": g}
+            for perm in _sampled_permutations(rng, f, 6):
+                yield {"w": w, "f": f, "g": _from_ints(perm, f.den)}
 
     return violation, trials(), ()
 

@@ -151,8 +151,11 @@ def mps_chain(f: Payoff, g: Payoff) -> MpsChain:
     each round moves mass from the first state still above its target to
     the first state below it; both move monotonically toward the target,
     so every move is a valid spread and at least one state is finished
-    per round (at most ``n - 1`` steps).  A final rearrangement restores
-    ``g``'s state arrangement when needed.
+    per round (at most ``n - 1`` steps).  Neither state can move left: the
+    states before the first unfinished one stay finished, and those
+    between it and the first one below its target never change.  A final
+    rearrangement restores ``g``'s state arrangement when needed.  Apart
+    from the two sorts, the work is linear in ``n``.
     """
     if not concave_order(f, g):
         raise ValueError("mps_chain requires concave_order(f, g)")
@@ -166,13 +169,16 @@ def mps_chain(f: Payoff, g: Payoff) -> MpsChain:
     target = sorted(gs)
 
     elements: list[ChainElement] = []
-    for _ in range(n):
-        diffs = [i for i in range(n) if current[i] != target[i]]
-        if not diffs:
+    i = j = 0
+    while True:
+        while i < n and current[i] == target[i]:
+            i += 1
+        if i == n:
             break
-        i = diffs[0]
         assert current[i] > target[i], "first unfinished state must sit above its target"
-        j = next(k for k in range(i + 1, n) if current[k] < target[k])
+        j = max(j, i + 1)
+        while current[j] >= target[j]:
+            j += 1
         delta = min(current[i] - target[i], target[j] - current[j])
         elements.append(MpsStep(perm[i] + 1, perm[j] + 1, Fraction(delta, den)))
         current[i] -= delta
@@ -182,15 +188,10 @@ def mps_chain(f: Payoff, g: Payoff) -> MpsChain:
     for pos, state in enumerate(perm):
         after[state] = current[pos]
     if tuple(after) != gs:
-        used = [False] * n
-        mapping = []
-        for s in range(n):
-            t = next(
-                k for k in range(n) if not used[k] and after[k] == gs[s]
-            )
-            used[t] = True
-            mapping.append(t + 1)
-        elements.append(Rearrangement(tuple(mapping)))
+        free: dict[int, list[int]] = {}  # per value, its states, lowest index last
+        for k in reversed(range(n)):
+            free.setdefault(after[k], []).append(k)
+        elements.append(Rearrangement(tuple(free[v].pop() + 1 for v in gs)))
     return MpsChain(tuple(elements))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .space import Payoff, RationalLike, _nums_over, as_fraction, expectation, variance
 
@@ -85,17 +85,14 @@ class PiecewiseLinearFn:
         j = bisect.bisect_right(xnums, num * self._xden // den, 1, len(xnums) - 1) - 1
         return Fraction(self._icepts[j] * den + self._islopes[j] * num, self._q * den)
 
-    def _scaled_xnums(self, d: int) -> list[int]:
-        """Abscissae as integers over ``d``, a multiple of ``_xden``."""
-        return [x * (d // self._xden) for x in self._xnums]
-
-    def _scaled_sum(self, nums: list[int], d: int, xnums: list[int]) -> int:
-        """``q * d * sum(u(v / d) for v in nums)``, exact, with ``xnums = _scaled_xnums(d)``."""
-        icepts, islopes = self._icepts, self._islopes
-        hi = len(xnums) - 1
+    def _scaled_sum(self, nums: Sequence[int], d: int) -> int:
+        """``q * d * sum(u(v / d) for v in nums)``, exact, for ``d`` a multiple of ``_xden``."""
+        xnums, icepts, islopes = self._xnums, self._icepts, self._islopes
+        m, hi = d // self._xden, len(xnums) - 1
         total = 0
         for v in nums:
-            j = bisect.bisect_right(xnums, v, 1, hi) - 1  # the piece holding v
+            # the piece holding v / d, found as in __call__: v // m is floor(v / d * _xden)
+            j = bisect.bisect_right(xnums, v // m, 1, hi) - 1
             total += icepts[j] * d + islopes[j] * v
         return total
 
@@ -142,7 +139,7 @@ def _numerators(values, d: int) -> list[int]:
 def eu_value(u: PiecewiseLinearFn, f: Payoff) -> Fraction:
     """Average utility ``(1/n) * sum(u(f(s)))``, exact, summed as integers over one denominator."""
     d = lcm(u._xden, f.den)
-    return Fraction(u._scaled_sum(_nums_over(f, d), d, u._scaled_xnums(d)), u._q * d * len(f))
+    return Fraction(u._scaled_sum(_nums_over(f, d), d), u._q * d * len(f))
 
 
 def _increments(g: Distortion, n: int) -> tuple[tuple[int, ...], int]:
@@ -240,8 +237,8 @@ class PreferenceModel:
         return Comparison.INDIFFERENT
 
 
-def expected_value_model() -> PreferenceModel:
-    return PreferenceModel(name="expected-value", family="ev")
+def expected_value_model(name: str = "expected-value") -> PreferenceModel:
+    return PreferenceModel(name=name, family="ev")
 
 
 def expected_utility_model(u: PiecewiseLinearFn, name: str = "expected-utility") -> PreferenceModel:
@@ -251,18 +248,18 @@ def expected_utility_model(u: PiecewiseLinearFn, name: str = "expected-utility")
 
 
 def dual_model(distortion: Distortion, name: str = "dual") -> PreferenceModel:
-    if isinstance(distortion, PiecewiseLinearFn):
-        if not distortion.nondecreasing():
-            raise ValueError("distortion must be increasing")
-        if distortion(Fraction(0)) != 0 or distortion(Fraction(1)) != 1:
-            raise ValueError("distortion must satisfy g(0) = 0 and g(1) = 1")
+    """A dual model; ``g(0)`` and ``g(1)`` must be exactly 0 and 1 (a float is a ``TypeError``)."""
+    if isinstance(distortion, PiecewiseLinearFn) and not distortion.nondecreasing():
+        raise ValueError("distortion must be increasing")
+    if as_fraction(distortion(Fraction(0))) != 0 or as_fraction(distortion(Fraction(1))) != 1:
+        raise ValueError("distortion must satisfy g(0) = 0 and g(1) = 1")
     return PreferenceModel(name=name, family="dual", distortion=distortion)
 
 
-def mean_variance_model() -> PreferenceModel:
+def mean_variance_model(name: str = "mean-variance") -> PreferenceModel:
     # not secular: no compensation makes a high-variance payoff indifferent
     # to a low-variance one at every level, and the order is incomplete
-    return PreferenceModel(name="mean-variance", family="mv")
+    return PreferenceModel(name=name, family="mv")
 
 
 def _require_secular(m: PreferenceModel, what: str) -> None:
@@ -280,19 +277,26 @@ def _rho_eu(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> Fraction:
     and piecewise linear, with slope ``-D`` where ``D`` sums the slopes of
     ``u`` active at each ``f(s) - r``.  With ``d`` the lcm of the
     denominators of ``f``, ``g`` and the abscissae, the sweep holds the
-    integers ``r * d``, ``phi * q * d`` and ``D * q``.  It evaluates ``phi``
-    at ``r = min f - max x``, where every argument is on the top piece,
-    moves ``r`` up through the interior kinks ``f(s) - x_j`` in order,
+    integers ``r * d``, ``phi * q * d`` and ``D * q``.  It starts at
+    ``r = min f - max x``, where every argument lies on the top piece
+    ``c + s * x``, so ``sum(u(f(s) - r))`` is ``n * c + s * (sum(f) - n * r)``
+    in closed form.  It moves ``r`` up through the interior kinks ``f(s) - x_j`` in
+    order, built as one ascending run per kink from the sorted ``f``,
     updating ``phi`` by ``-D * dr`` and ``D`` by ``slopes[j-1] - slopes[j]``,
     and solves the affine piece on which ``phi`` first drops to <= 0.
     """
     d = lcm(u._xden, f.den, g.den)
-    fs, gs, xnums, islopes = _nums_over(f, d), _nums_over(g, d), u._scaled_xnums(d), u._islopes
-    r = min(fs) - xnums[-1]
-    value = u._scaled_sum([v - r for v in fs], d, xnums) - u._scaled_sum(gs, d, xnums)
-    active = islopes[-1] * len(fs)
-    interior = [(x, islopes[j - 1] - islopes[j]) for j, x in enumerate(xnums[1:-1], 1)]
-    for k, dd in sorted((v - x, dd) for v in fs for x, dd in interior):
+    fs, n, m, islopes = sorted(_nums_over(f, d)), len(f), d // u._xden, u._islopes
+    r = fs[0] - u._xnums[-1] * m
+    top = n * u._icepts[-1] * d + islopes[-1] * (sum(fs) - n * r)
+    value = top - u._scaled_sum(_nums_over(g, d), d)
+    active = islopes[-1] * n
+    kinks = []
+    for j in range(len(islopes) - 1, 0, -1):  # descending abscissae give ascending runs
+        x, dd = u._xnums[j] * m, islopes[j - 1] - islopes[j]
+        kinks += [(v - x, dd) for v in fs]
+    kinks.sort()
+    for k, dd in kinks:
         at_k = value - active * (k - r)
         if at_k <= 0:
             break

@@ -150,20 +150,23 @@ def model_from_obj(obj: Any, where: str = "model") -> PreferenceModel:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError(f"{where}.name: expected a string")
+    if name == "":
+        raise InputError(f"{where}.name: expected a non-empty string")
+    named = {} if name is None else {"name": name}  # no name: the family's default
     if mtype == "ev":
-        return expected_value_model()
+        return expected_value_model(**named)
     if mtype == "mv":
-        return mean_variance_model()
+        return mean_variance_model(**named)
     if mtype == "eu":
         u = _breakpoints_from_obj(obj.get("fn"), f"{where}.fn")
         try:
-            return expected_utility_model(u, name=name or "expected-utility")
+            return expected_utility_model(u, **named)
         except ValueError as exc:
             raise InputError(f"{where}.fn: {exc}")
     if mtype == "dual":
         g = _breakpoints_from_obj(obj.get("fn"), f"{where}.fn")
         try:
-            return dual_model(g, name=name or "dual")
+            return dual_model(g, **named)
         except ValueError as exc:
             raise InputError(f"{where}.fn: {exc}")
     raise InputError(f"{where}.type: expected one of eu, dual, mv, ev, got {mtype!r}")

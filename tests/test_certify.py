@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
@@ -42,6 +43,7 @@ from riskprop.certify import (
     _shrink,
     _split_instances,
     _spread_pairs,
+    _sweep_alternatives,
 )
 from riskprop import certify
 from riskprop.decompose import deductible_triple, proportional_triple
@@ -280,6 +282,11 @@ class TestReports:
         with pytest.raises(ValueError, match="max_n must be <= 12"):
             SearchBudget(max_n=13, exhaustive_n=4)
 
+    def test_budget_caps_trials(self):
+        assert SearchBudget(trials=100_000).trials == 100_000
+        with pytest.raises(ValueError, match="trials must be <= 100000"):
+            SearchBudget(trials=10**12)
+
     def test_budget_caps_value_grid_at_twelve(self):
         twelve = tuple(range(12))
         assert len(SearchBudget(value_grid=twelve + (0, 1)).value_grid) == 12  # counted after dedup
@@ -434,6 +441,34 @@ FRACTIONAL_GRID = (F(-3, 2), F(-1, 3), F(0), F(1, 2), F(2))
 GRIDS = {"default": SearchBudget().value_grid, "fractional": FRACTIONAL_GRID}
 
 
+def _payoff_alternatives(rng, f, budget):
+    """Oracle: the rearrangements of ``f`` as payoffs, in the search's order, with its shuffles."""
+    if len(f) <= budget.exhaustive_n:
+        perms = list(dict.fromkeys(permutations(f.nums)))
+    else:
+        vals, perms = list(f.nums), []
+        for _ in range(20):
+            rng.shuffle(vals)
+            perms.append(tuple(vals))
+    return [Payoff(tuple(F(v, f.den) for v in perm)) for perm in perms]
+
+
+def _payoff_sweep(w, f, alternatives, test):
+    """Oracle: the sweep that adds payoffs and deduplicates on the law of each ``w + g``."""
+    wf = w + f
+    seen = set()
+    for g in alternatives:
+        wg = w + g
+        key = _law(wg)
+        if key in seen:
+            continue
+        seen.add(key)
+        sides = test({"w": w, "f": f, "g": g}, (wf, wg))
+        if sides is not None:
+            return g, sides
+    return None
+
+
 def _eager_search(kind, sides, budget, split_n):
     """Oracle: an insurance propensity search that factors every phase-1 spread pair.
 
@@ -448,7 +483,7 @@ def _eager_search(kind, sides, budget, split_n):
         phase1 = (
             (t.w_tilde, t.f_tilde, t.g_tilde)
             for source in ((kind,) if kind in ("pr", "dl") else ("pr", "dl"))
-            for f0, step in _spread_pairs(budget.value_grid, source == "pr")
+            for f0, step, _ in _spread_pairs(budget.value_grid, source == "pr")
             for t in [(proportional_triple if source == "pr" else deductible_triple)(f0, step)]
         )
     trials_run = 0
@@ -460,7 +495,7 @@ def _eager_search(kind, sides, budget, split_n):
     for t in range(budget.trials):
         rng = _rng(budget.seed, t)
         for w, f, g in _mixed_instances(kind, rng, budget):
-            alternatives = [g] if g is not None else _alternatives(rng, f, budget)
+            alternatives = [g] if g is not None else _payoff_alternatives(rng, f, budget)
             trials_run += 1
             seen = set()
             for g in alternatives:
@@ -526,9 +561,9 @@ class TestLazyPhaseOne:
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_phase1_sums_are_the_factored_sums(self, grid):
         for strict, factor in ((True, proportional_triple), (False, deductible_triple)):
-            for f0, step in _spread_pairs(GRIDS[grid], strict):
+            for f0, step, g0 in _spread_pairs(GRIDS[grid], strict):
                 t = factor(f0, step)
-                assert (t.w_tilde + t.f_tilde, t.w_tilde + t.g_tilde) == (f0, step.apply(f0))
+                assert (t.w_tilde + t.f_tilde, t.w_tilde + t.g_tilde) == (f0, g0)
         for h, w, f, g in _split_instances(GRIDS[grid], 4):
             assert (w + f, w + g) == (Payoff.constant(expectation(h), len(h)), h)
 
@@ -564,3 +599,49 @@ class TestLazyPhaseOne:
         want = _outcome(compare_propensity("dl", ZOO["eu_concave"], m, budget))
         monkeypatch.setattr(certify, "_MEMO_ENTRIES", 3)
         assert _outcome(compare_propensity("dl", ZOO["eu_concave"], m, budget)) == want
+
+
+class TestIntegerSweep:
+    """Rearrangements as numerator tuples and the spread payoffs cached with their pairs change no result."""
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_spread_rows_carry_their_spread(self, grid, strict):
+        for f, step, g in _spread_pairs(GRIDS[grid], strict):
+            assert g == step.apply(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.data(),
+        st.sampled_from(sorted(ZOO)),
+        st.integers(0, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_payoff_sweep(self, n, data, name, exhaustive_n, rnd):
+        """Same result, and ``test`` sees the same parts and sums in the same order."""
+        w_vals = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n))
+        f_vals = data.draw(st.lists(st.sampled_from(FRACTIONAL_GRID), min_size=n, max_size=n))
+        w, f = Payoff(tuple(w_vals)), Payoff(tuple(f_vals))
+        budget = SearchBudget(max_n=6, exhaustive_n=min(exhaustive_n + 2, 6), trials=0)
+        seed = rnd.getrandbits(32)
+        m = ZOO[name]
+        cutoff = m.value(w + f) + data.draw(st.sampled_from((F(-1), F(0), F(1, 2), F(2))))
+
+        def recording(calls):
+            def test(parts, sums):
+                calls.append((dict(parts), sums))
+                lhs, rhs = m.value(sums[0]), m.value(sums[1])
+                return (lhs, rhs) if rhs > cutoff else None
+
+            return test
+
+        new_calls, old_calls = [], []
+        got = _sweep_alternatives(
+            w, f, _alternatives(random.Random(seed), f, budget), recording(new_calls)
+        )
+        want = _payoff_sweep(
+            w, f, _payoff_alternatives(random.Random(seed), f, budget), recording(old_calls)
+        )
+        assert got == want
+        assert new_calls == old_calls

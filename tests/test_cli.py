@@ -287,6 +287,7 @@ class TestInputHandling:
         [
             (["--max-n", "13"], "budget: max_n must be <= 12"),
             (["--grid", ",".join(str(k) for k in range(13))], "budget: value grid must have at most 12 values"),
+            (["--trials", "100001"], "budget: trials must be <= 100000"),
         ],
     )
     def test_budget_caps(self, files, capsys, flags, message):
@@ -350,6 +351,14 @@ class TestInputHandling:
         assert "badname.json.name: expected a string" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_model_name_must_not_be_empty(self, files, capsys):
+        bad = files["write"]("emptyname.json", {"type": "ev", "name": ""})
+        argv = ["certify", "--property", "weak_ra", "--model", bad, "--trials", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "emptyname.json.name: expected a non-empty string" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_out_file(self, files, tmp_path):
         target = tmp_path / "result.json"
         assert main(["--out", str(target), "order", "--cv", files["f"], files["g"]]) == 0
@@ -382,3 +391,12 @@ class TestDeterminism:
         for m in build_zoo().values():
             again = model_from_obj(json.loads(dumps(model_to_obj(m))))
             assert again == m
+
+    @pytest.mark.parametrize("mtype", ["ev", "mv", "eu", "dual"])
+    def test_named_model_round_trip(self, mtype):
+        from riskprop.serialize import model_from_obj, model_to_obj
+
+        obj = {"type": mtype, "name": f"my {mtype}"}
+        if mtype in ("eu", "dual"):
+            obj["fn"] = {"breakpoints": [["0/1", "0/1"], ["1/2", "1/3"], ["1/1", "1/1"]]}  # as emitted
+        assert model_to_obj(model_from_obj(obj)) == obj

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskprop import (
     InsuranceKind,
@@ -19,6 +20,8 @@ from riskprop import (
     recognize_mps,
     split_zero_mean,
 )
+from riskprop.decompose import MpsChain, _stable_argsort
+from riskprop.space import _common_nums
 from conftest import P
 
 
@@ -135,6 +138,63 @@ class TestMpsChain:
                 f, g = Payoff(fv), Payoff(gv)
                 if concave_order(f, g):
                     replay_and_validate(mps_chain(f, g), f, g)
+
+
+def quadratic_mps_chain(f, g):
+    """Oracle: the chain builder that rescans for both states every round."""
+    n = len(f)
+    (fs, gs), den = _common_nums(f, g)
+    perm = _stable_argsort(fs)
+    current = [fs[i] for i in perm]
+    target = sorted(gs)
+    elements = []
+    for _ in range(n):
+        diffs = [i for i in range(n) if current[i] != target[i]]
+        if not diffs:
+            break
+        i = diffs[0]
+        j = next(k for k in range(i + 1, n) if current[k] < target[k])
+        delta = min(current[i] - target[i], target[j] - current[j])
+        elements.append(MpsStep(perm[i] + 1, perm[j] + 1, F(delta, den)))
+        current[i] -= delta
+        current[j] += delta
+    after = [0] * n
+    for pos, state in enumerate(perm):
+        after[state] = current[pos]
+    if tuple(after) != gs:
+        used = [False] * n
+        mapping = []
+        for s in range(n):
+            t = next(k for k in range(n) if not used[k] and after[k] == gs[s])
+            used[t] = True
+            mapping.append(t + 1)
+        elements.append(Rearrangement(tuple(mapping)))
+    return MpsChain(tuple(elements))
+
+
+@st.composite
+def concave_pairs(draw):
+    """``(f, g)`` with ``g`` reached from ``f`` by spreads and a relabelling, ``n <= 12``."""
+    n = draw(st.integers(2, 12))
+    value = st.fractions(-6, 6, max_denominator=3)
+    f = Payoff(tuple(draw(st.lists(value, min_size=n, max_size=n))))
+    g = f
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.permutations(range(1, n + 1)))[:2]
+        if g[a] > g[b]:
+            a, b = b, a
+        g = MpsStep(a, b, draw(st.fractions(0, 3, max_denominator=2))).apply(g)
+    return f, g.permute(draw(st.permutations(range(1, n + 1))))
+
+
+class TestLinearMpsChain:
+    @settings(max_examples=300, deadline=None)
+    @given(concave_pairs())
+    def test_matches_quadratic_oracle(self, pair):
+        f, g = pair
+        chain = mps_chain(f, g)
+        assert chain == (MpsChain(()) if f == g else quadratic_mps_chain(f, g))
+        replay_and_validate(chain, f, g)
 
 
 class TestProportionalTriple:

@@ -410,6 +410,13 @@ class TestIntegerKernels:
         with pytest.raises(TypeError, match="expected an exact rational .* got float 0.0"):
             dual_value(float_square, f)
 
+    def test_dual_model_checks_a_callable_distortion(self):
+        with pytest.raises(TypeError, match="got float 0.0"):
+            dual_model(float_square)
+        with pytest.raises(ValueError, match=r"g\(0\) = 0 and g\(1\) = 1"):
+            dual_model(lambda p: p / 2)
+        assert dual_model(square).distortion is square
+
 
 class TestDistortionWeightCache:
     """A ``PiecewiseLinearFn`` keeps its increments per ``n`` on the instance; callables use the lru_cache."""
