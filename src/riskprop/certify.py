@@ -57,7 +57,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optio
 from .decompose import deductible_triple, proportional_triple, split_zero_mean
 from .insurance import PremiumPrinciple, is_member, make_contract
 from .orders import MpsStep, better_hedge, concave_order
-from .preferences import PreferenceModel, rho
+from .preferences import PreferenceModel, _require_secular, rho
 from .space import Payoff, _from_ints, _nums_over, as_fraction, equal_in_distribution, expectation
 
 __all__ = [
@@ -735,31 +735,12 @@ def _row(head: str, budget: SearchBudget, m, mB=None, pp=None, kind=None, sides=
 # public checks
 
 
-def _require_total(m: PreferenceModel) -> None:
-    if not m.has_total_evaluator():
-        raise ValueError(
-            f"this check needs a model with a total evaluator; {m.name!r} "
-            f"only provides a partial order"
-        )
-
-
-def _require_comparable(mA: PreferenceModel, mB: PreferenceModel) -> None:
-    for m in (mA, mB):
-        if not m.has_total_evaluator():
-            raise ValueError(
-                f"comparative checks need monotone, secular models with total "
-                f"evaluators; {m.name!r} is not"
-            )
-
-
 def _check(head: str, budget: SearchBudget, m, mB=None, pp=None, kind=None) -> CertificateReport:
     """Validate a public check's inputs, build its row and search it."""
     if kind is not None and kind not in PROPENSITY_KINDS:
         raise ValueError(f"kind must be one of {PROPENSITY_KINDS}, got {kind!r}")
-    if mB is None:
-        _require_total(m)
-    else:
-        _require_comparable(m, mB)
+    for model in (m,) if mB is None else (m, mB):
+        _require_secular(model, head)
     return _search(_row(head, budget, m, mB, pp, kind), budget)
 
 
@@ -792,7 +773,7 @@ def check_premium_propensity(
 
 def check_neutrality(m: PreferenceModel, budget: SearchBudget) -> CertificateReport:
     """Check the neutrality family: risk, full-insurance, hedging, dependence, and the expected-value representation."""
-    _require_total(m)
+    _require_secular(m, "neutrality")
     sub_budget = replace(budget, trials=max(1, budget.trials // 4))
     sides = _value_sides(m)  # one memo for the whole family
     details = {h: _search(_row(h, sub_budget, m, sides=sides), sub_budget) for h in _NEUTRALITY}

@@ -4,8 +4,9 @@ Subcommands: ``order``, ``classify``, ``decompose``, ``hedge``,
 ``preference``, ``certify``, ``compare``.  Inputs are JSON files (see
 serialize); results are deterministic JSON on stdout or ``--out``.
 
-Exit codes: 0 success / property holds on budget, 2 malformed input,
-3 a certificate reports a violation.  The environment variable
+Exit codes: 0 success / property holds on budget, 2 malformed input or
+a file that cannot be read or written, 3 a certificate reports a
+violation.  The environment variable
 ``RISKPROP_SEED`` overrides the default search seed.
 """
 
@@ -38,10 +39,14 @@ def _json_int(text: str) -> Any:
 
 def _load_json(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_int=_json_int)
     except FileNotFoundError:
         raise S.InputError(f"{path}: file not found")
+    except OSError as exc:
+        raise S.InputError(f"{path}: cannot read ({exc.strerror})")
+    except UnicodeDecodeError as exc:
+        raise S.InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise S.InputError(f"{path}: invalid JSON ({exc})")
 
@@ -92,8 +97,11 @@ def _add_budget_args(p: argparse.ArgumentParser) -> None:
 def _emit(obj: Any, out: Optional[str]) -> None:
     text = S.dumps(obj)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise S.InputError(f"--out {out}: cannot write ({exc.strerror})")
     else:
         sys.stdout.write(text)
 
@@ -169,110 +177,83 @@ def _run_order(args: argparse.Namespace) -> tuple[Any, int]:
     if not wanted:
         wanted = ["cv", "fsd", "mps"]
     out: dict[str, Any] = {}
-    try:
-        if "cv" in wanted:
-            out["cv"] = concave_order(f, g)
-        if "fsd" in wanted:
-            out["fsd"] = fsd(f, g)
-        if "mps" in wanted:
-            step = recognize_mps(f, g)
-            out["mps"] = S.step_to_obj(step) if step else None
-    except ValueError as exc:
-        raise S.InputError(str(exc))
+    if "cv" in wanted:
+        out["cv"] = concave_order(f, g)
+    if "fsd" in wanted:
+        out["fsd"] = fsd(f, g)
+    if "mps" in wanted:
+        step = recognize_mps(f, g)
+        out["mps"] = S.step_to_obj(step) if step else None
     return out, EXIT_OK
 
 
 def _run_classify(args: argparse.Namespace) -> tuple[Any, int]:
     f, w = _load_payoff(args.f), _load_payoff(args.w)
-    try:
-        detailed = classify_detailed(f, w)
-    except ValueError as exc:
-        raise S.InputError(str(exc))
-    return S.classification_to_obj(detailed), EXIT_OK
+    return S.classification_to_obj(classify_detailed(f, w)), EXIT_OK
 
 
 def _run_decompose(args: argparse.Namespace) -> tuple[Any, int]:
     f = _load_payoff(args.f)
-    try:
-        if args.mode == "split":
-            return S.split_to_obj(split_zero_mean(f)), EXIT_OK
-        if args.mode == "chain":
-            g = _load_payoff(args.g)
-            return S.chain_to_obj(mps_chain(f, g)), EXIT_OK
-        step = MpsStep(args.donor, args.recipient, S.parse_rational(args.delta, "delta"))
-        maker = proportional_triple if args.mode == "proportional" else deductible_triple
-        return S.triple_to_obj(maker(f, step)), EXIT_OK
-    except ValueError as exc:
-        raise S.InputError(str(exc))
+    if args.mode == "split":
+        return S.split_to_obj(split_zero_mean(f)), EXIT_OK
+    if args.mode == "chain":
+        g = _load_payoff(args.g)
+        return S.chain_to_obj(mps_chain(f, g)), EXIT_OK
+    step = MpsStep(args.donor, args.recipient, S.parse_rational(args.delta, "delta"))
+    maker = proportional_triple if args.mode == "proportional" else deductible_triple
+    return S.triple_to_obj(maker(f, step)), EXIT_OK
 
 
 def _run_hedge(args: argparse.Namespace) -> tuple[Any, int]:
     f, g, w = _load_payoff(args.f), _load_payoff(args.g), _load_payoff(args.w)
-    try:
-        return (
-            {
-                "equal_in_distribution": equal_in_distribution(f, g),
-                "better_hedge": better_hedge(f, g, w),
-            },
-            EXIT_OK,
-        )
-    except ValueError as exc:
-        raise S.InputError(str(exc))
+    out = {"equal_in_distribution": equal_in_distribution(f, g), "better_hedge": better_hedge(f, g, w)}
+    return out, EXIT_OK
 
 
 def _run_preference(args: argparse.Namespace) -> tuple[Any, int]:
     m = _load_model(args.model)
-    try:
-        if args.value is not None:
-            return {"value": S.format_fraction(m.value(_load_payoff(args.value)))}, EXIT_OK
-        if args.ce is not None:
-            ce = certainty_equivalent(m, _load_payoff(args.ce))
-            return {"certainty_equivalent": S.format_fraction(ce)}, EXIT_OK
-        if args.rho is not None:
-            g, f = _load_payoff(args.rho[0]), _load_payoff(args.rho[1])
-            return {"rho": S.format_fraction(rho(m, g, f))}, EXIT_OK
-        f, g = _load_payoff(args.mv[0]), _load_payoff(args.mv[1])
-        return {"comparison": mv_compare(f, g).value}, EXIT_OK
-    except ValueError as exc:
-        raise S.InputError(str(exc))
+    if args.value is not None:
+        return {"value": S.format_fraction(m.value(_load_payoff(args.value)))}, EXIT_OK
+    if args.ce is not None:
+        ce = certainty_equivalent(m, _load_payoff(args.ce))
+        return {"certainty_equivalent": S.format_fraction(ce)}, EXIT_OK
+    if args.rho is not None:
+        g, f = _load_payoff(args.rho[0]), _load_payoff(args.rho[1])
+        return {"rho": S.format_fraction(rho(m, g, f))}, EXIT_OK
+    f, g = _load_payoff(args.mv[0]), _load_payoff(args.mv[1])
+    return {"comparison": mv_compare(f, g).value}, EXIT_OK
 
 
 def _run_certify(args: argparse.Namespace) -> tuple[Any, int]:
     m = _load_model(args.model)
     budget = _budget_from_args(args)
-    try:
-        if args.property == "weak_ra":
-            report = C.check_weak_risk_aversion(m, budget)
-        elif args.property == "strong_ra":
-            report = C.check_strong_risk_aversion(m, budget)
-        elif args.property == "neutrality":
-            report = C.check_neutrality(m, budget)
-        elif args.property == "premium_fi":
-            pp = (
-                fair_principle()
-                if args.principle == "fair"
-                else loading_principle(S.parse_rational(args.loading, "--loading"))
-            )
-            report = C.check_premium_propensity(m, pp, budget)
-        else:
-            report = C.check_propensity(args.property, m, budget)
-    except ValueError as exc:
-        raise S.InputError(str(exc))
+    if args.property == "weak_ra":
+        report = C.check_weak_risk_aversion(m, budget)
+    elif args.property == "strong_ra":
+        report = C.check_strong_risk_aversion(m, budget)
+    elif args.property == "neutrality":
+        report = C.check_neutrality(m, budget)
+    elif args.property == "premium_fi":
+        pp = (
+            fair_principle()
+            if args.principle == "fair"
+            else loading_principle(S.parse_rational(args.loading, "--loading"))
+        )
+        report = C.check_premium_propensity(m, pp, budget)
+    else:
+        report = C.check_propensity(args.property, m, budget)
     return S.report_to_obj(report), (EXIT_VIOLATED if report.violated else EXIT_OK)
 
 
 def _run_compare(args: argparse.Namespace) -> tuple[Any, int]:
     mA, mB = _load_model(args.model_a), _load_model(args.model_b)
     budget = _budget_from_args(args)
-    try:
-        if args.property == "weak":
-            report = C.compare_weak(mA, mB, budget)
-        elif args.property == "strong":
-            report = C.compare_strong(mA, mB, budget)
-        else:
-            report = C.compare_propensity(args.property, mA, mB, budget)
-    except ValueError as exc:
-        raise S.InputError(str(exc))
+    if args.property == "weak":
+        report = C.compare_weak(mA, mB, budget)
+    elif args.property == "strong":
+        report = C.compare_strong(mA, mB, budget)
+    else:
+        report = C.compare_propensity(args.property, mA, mB, budget)
     return S.report_to_obj(report), (EXIT_VIOLATED if report.violated else EXIT_OK)
 
 
@@ -290,12 +271,12 @@ _RUNNERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
+    try:  # the one error boundary: malformed input and failed reads or writes exit 2
         result, code = _RUNNERS[args.command](args)
-    except S.InputError as exc:
+        _emit(result, args.out)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(result, args.out)
     return code
 
 

@@ -42,9 +42,6 @@ class ZeroMeanSplit:
     h: Payoff
     h_prime: Payoff
 
-    def difference(self) -> Payoff:
-        return self.h - self.h_prime
-
 
 @dataclass(frozen=True)
 class Rearrangement:

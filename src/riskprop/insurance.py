@@ -16,8 +16,10 @@ of the loss, which makes it counter-monotone with ``w``; without such a
 profile only cs can hold.  On the profile's points, full membership asks
 for a constant payment minus loss, proportional membership for one line
 of slope in ``(0, 1]``, and deductible-limit membership for a fit of the
-three-piece shape.  :func:`classify_detailed` computes the profile once
-for all five classes.
+three-piece shape.  :func:`is_member` decides one class: cs by
+counter-monotonicity, any other by one read of the profile and only that
+class's fit.  :func:`classify_detailed` computes the profile once for all
+five classes and returns the fitted parameters, the is schedule among them.
 """
 
 from __future__ import annotations
@@ -78,10 +80,6 @@ class InsuranceContract:
     params: Mapping[str, object]
 
 
-def _loss(w: Payoff) -> Payoff:
-    return -w
-
-
 def make_contract(
     w: Payoff,
     kind: Union[str, InsuranceKind],
@@ -103,7 +101,7 @@ def make_contract(
     """
     kind = InsuranceKind.from_tag(kind)
     pi = as_fraction(premium)
-    loss = _loss(w)
+    loss = -w
 
     if kind is InsuranceKind.FULL:
         return InsuranceContract(loss - pi, kind, {"premium": pi})
@@ -237,42 +235,26 @@ def _indemnity_from(points: list[tuple[int, int]], d: int) -> dict:
     return {"schedule": schedule, "premium": Fraction(0)}
 
 
-def _on_profile(
-    fit: Callable[[list[tuple[int, int]], int], Optional[dict]]
-) -> Callable[[Payoff, Payoff], Optional[dict]]:
-    """The fitter ``(f, w)`` that runs ``fit`` on the loss profile; no profile, no fit."""
-
-    def fitter(f: Payoff, w: Payoff) -> Optional[dict]:
-        profile = _loss_profile(f, w)
-        return None if profile is None else fit(*profile)
-
-    return fitter
-
-
-_fit_full = _on_profile(_full_from)
-_fit_proportional = _on_profile(_proportional_from)
-_fit_deductible_limit = _on_profile(_deductible_limit_from)
-_fit_indemnity = _on_profile(_indemnity_from)
-
-
-def _fit_contingency(f: Payoff, w: Payoff) -> Optional[dict]:
-    return {} if counter_monotone(f, w) else None
-
-
-# kind -> fitter returning the fitted parameters, or None for a non-member
-_FITTERS: dict[InsuranceKind, Callable[[Payoff, Payoff], Optional[dict]]] = {
-    InsuranceKind.FULL: _fit_full,
-    InsuranceKind.PROPORTIONAL: _fit_proportional,
-    InsuranceKind.DEDUCTIBLE_LIMIT: _fit_deductible_limit,
-    InsuranceKind.INDEMNITY_SCHEDULE: _fit_indemnity,
-    InsuranceKind.CONTINGENCY_SCHEDULE: _fit_contingency,
-}
-
-
 def is_member(kind: Union[str, InsuranceKind], f: Payoff, w: Payoff) -> bool:
-    """Whether ``f`` belongs to one insurance class for risk ``w``; runs only that class's fitter."""
+    """Whether ``f`` belongs to one insurance class for risk ``w``; fits only that class.
+
+    cs is counter-monotonicity.  Every other class needs the loss profile:
+    the is class holds on any profile, and fi, pr and dl run their own fit.
+    """
     f._check_same_length(w)
-    return _FITTERS[InsuranceKind.from_tag(kind)](f, w) is not None
+    kind = InsuranceKind.from_tag(kind)
+    if kind is InsuranceKind.CONTINGENCY_SCHEDULE:
+        return counter_monotone(f, w)
+    profile = _loss_profile(f, w)
+    if profile is None:
+        return False
+    if kind is InsuranceKind.FULL:
+        return _full_from(*profile) is not None
+    if kind is InsuranceKind.PROPORTIONAL:
+        return _proportional_from(*profile) is not None
+    if kind is InsuranceKind.DEDUCTIBLE_LIMIT:
+        return _deductible_limit_from(*profile) is not None
+    return True  # is: the profile itself is the schedule
 
 
 def classify_detailed(f: Payoff, w: Payoff) -> dict[InsuranceKind, dict]:
@@ -284,15 +266,14 @@ def classify_detailed(f: Payoff, w: Payoff) -> dict[InsuranceKind, dict]:
     f._check_same_length(w)
     profile = _loss_profile(f, w)
     if profile is None:
-        fits = {InsuranceKind.CONTINGENCY_SCHEDULE: _fit_contingency(f, w)}
-    else:
-        fits = {
-            InsuranceKind.FULL: _full_from(*profile),
-            InsuranceKind.PROPORTIONAL: _proportional_from(*profile),
-            InsuranceKind.DEDUCTIBLE_LIMIT: _deductible_limit_from(*profile),
-            InsuranceKind.INDEMNITY_SCHEDULE: _indemnity_from(*profile),
-            InsuranceKind.CONTINGENCY_SCHEDULE: {},
-        }
+        return {InsuranceKind.CONTINGENCY_SCHEDULE: {}} if counter_monotone(f, w) else {}
+    fits = {
+        InsuranceKind.FULL: _full_from(*profile),
+        InsuranceKind.PROPORTIONAL: _proportional_from(*profile),
+        InsuranceKind.DEDUCTIBLE_LIMIT: _deductible_limit_from(*profile),
+        InsuranceKind.INDEMNITY_SCHEDULE: _indemnity_from(*profile),
+        InsuranceKind.CONTINGENCY_SCHEDULE: {},
+    }
     return {kind: fit for kind, fit in fits.items() if fit is not None}
 
 

@@ -8,7 +8,8 @@ levels of the risk: states join the cut ``w <= level`` one level at a
 time, an array over the observed payments keeps the difference of the
 two counts, and its prefix sums are checked after each level.  The
 counter-monotone relation is one sort of the states by the risk, after
-which ``f`` may never rise.
+which ``f`` may never rise.  A best hedge is a counter-monotone payoff,
+so :func:`is_best_hedge` decides counter-monotonicity.
 """
 
 from __future__ import annotations
@@ -189,19 +190,15 @@ def better_hedge(f: Payoff, g: Payoff, w: Payoff) -> bool:
 def is_best_hedge(f: Payoff, w: Payoff) -> bool:
     """Whether ``f`` is a better hedge for ``w`` than every payoff with its distribution.
 
-    Quantifies over all rearrangements of ``f`` by checking one: the
-    counter-monotone rearrangement, which places the largest values of
-    ``f`` on the lowest values of ``w``.  Every cut ``w <= level`` is a
-    prefix of the states sorted by ``w``, so on it that rearrangement
-    holds the top-k values of ``f``, which first-order dominate the k
-    values any rearrangement ``g`` puts there: ``count_cm <= count_g`` at
-    every payment, and beating the counter-monotone one beats every ``g``.
+    This is counter-monotonicity.  Every cut ``w <= level`` is a prefix of
+    the states sorted by ``w``, so on it the counter-monotone rearrangement
+    ``c`` of ``f`` holds the top-k values of ``f``, which first-order
+    dominate the k values any rearrangement ``g`` puts there:
+    ``count_c <= count_g`` at every payment.  So ``c`` is a better hedge
+    than every ``g``, ``f`` among them, and ``f`` is a best hedge exactly
+    when it is a better hedge than ``c`` too, that is when its counts match
+    ``c``'s on every cut.  Then every cut holds top-k values of ``f``: each
+    value on a level is at least every value on the higher levels, which
+    is what :func:`counter_monotone` decides.
     """
-    f._check_same_length(w)
-    ws = w.nums
-    order = sorted(range(len(ws)), key=lambda i: (ws[i], i))
-    desc = sorted(f.nums, reverse=True)
-    countermono = [0] * len(ws)
-    for rank, i in enumerate(order):
-        countermono[i] = desc[rank]
-    return better_hedge(f, _from_ints(tuple(countermono), f.den), w)
+    return counter_monotone(f, w)

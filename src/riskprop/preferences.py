@@ -226,16 +226,6 @@ class PreferenceModel:
             return dual_value(self.distortion, f)
         raise ValueError(f"model {self.name!r} has no total evaluator")
 
-    def compare(self, f: Payoff, g: Payoff) -> Comparison:
-        if self.family == "mv":
-            return mv_compare(f, g)
-        a, b = self.value(f), self.value(g)
-        if a > b:
-            return Comparison.BETTER
-        if a < b:
-            return Comparison.WORSE
-        return Comparison.INDIFFERENT
-
 
 def expected_value_model(name: str = "expected-value") -> PreferenceModel:
     return PreferenceModel(name=name, family="ev")

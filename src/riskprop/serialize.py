@@ -1,4 +1,4 @@
-"""JSON codecs for payoffs, models, contracts, decompositions, and reports.
+"""JSON codecs for payoffs, models, classifications, decompositions, and reports.
 
 Rationals travel as strings: the emitter always writes ``"p/q"``; the
 parser additionally accepts integers and terminating decimal strings
@@ -15,7 +15,7 @@ from typing import Any, Mapping
 
 from .certify import CertificateReport, SearchBudget, Witness
 from .decompose import InsuranceTriple, MpsChain, Rearrangement, ZeroMeanSplit
-from .insurance import InsuranceContract, KIND_ORDER, InsuranceKind
+from .insurance import KIND_ORDER, InsuranceKind
 from .orders import MpsStep
 from .preferences import (
     PiecewiseLinearFn,
@@ -35,7 +35,6 @@ __all__ = [
     "payoff_from_obj",
     "model_to_obj",
     "model_from_obj",
-    "contract_to_obj",
     "step_to_obj",
     "split_to_obj",
     "chain_to_obj",
@@ -192,21 +191,9 @@ def _params_to_obj(params: Mapping[str, Any]) -> dict:
     for key, val in params.items():
         if isinstance(val, Fraction):
             out[key] = format_fraction(val)
-        elif isinstance(val, tuple):
-            out[key] = [
-                [format_fraction(a), format_fraction(b)] for a, b in val
-            ]
-        else:
-            out[key] = val
+        else:  # an is schedule of (loss, payment) pairs
+            out[key] = [[format_fraction(a), format_fraction(b)] for a, b in val]
     return out
-
-
-def contract_to_obj(c: InsuranceContract) -> dict:
-    return {
-        "kind": c.declared_kind.value,
-        "params": _params_to_obj(c.params),
-        "payoff": payoff_to_obj(c.payoff),
-    }
 
 
 def classification_to_obj(detailed: Mapping[InsuranceKind, Mapping[str, Any]]) -> dict:

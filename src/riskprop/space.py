@@ -127,10 +127,6 @@ class Payoff:
         c = as_fraction(value)
         return _from_ints((c.numerator,) * n, c.denominator)
 
-    @property
-    def n(self) -> int:
-        return len(self.nums)
-
     def __len__(self) -> int:
         return len(self.nums)
 
@@ -201,12 +197,6 @@ class Payoff:
         if sorted(mapping) != list(range(1, len(nums) + 1)):
             raise ValueError(f"not a permutation of 1..{len(nums)}: {mapping!r}")
         return _from_ints(tuple([nums[s - 1] for s in mapping]), self.den)
-
-    def lottery(self) -> "Lottery":
-        return Lottery.from_payoff(self)
-
-    def quantile_table(self) -> "QuantileTable":
-        return QuantileTable.from_payoff(self)
 
 
 _SET_NUMS = Payoff.nums.__set__

