@@ -32,12 +32,13 @@ names and calls its predicate.  Every stream runs two phases:
 Four devices change cost, never results.  The insurance propensity
 predicates test equal distributions of ``f`` and ``g``, then the strict
 value gap, then the structure (``f`` a contract of the kind on ``w``, or
-for hedging a better hedge than ``g``).  Phase 1 of those searches knows
-each instance's sums before its parts (``(E[h], h)`` for the split of
-``h``; ``(f0, g0)`` for a spread pair, cached with its spread
-``g0 = step.apply(f0)``), so a spread pair is factored into ``(w, f, g)``
-only when the gap on its sums is strict.  Each search evaluates ``V``,
-or both sides ``(rho_B, rho_A)`` of a comparison, through one memo keyed
+for hedging a better hedge than ``g``).  Phase 1 knows each split or
+spread instance's sums before its parts (``(E[h], h)`` for the split of
+a grid payoff ``h``; ``(f0, g0)`` for a spread pair, cached with its
+spread ``g0 = step.apply(f0)``), so it splits ``h`` or factors the pair
+into ``(w, f, g)`` only when the gap on the sums holds, and otherwise
+yields a trial with nothing to test.  Each search evaluates ``V``, or
+both sides ``(rho_B, rho_A)`` of a comparison, through one memo keyed
 on the laws of the payoffs, dropped when the search returns.  And a
 rearrangement sweep forms each ``w + g`` as integers, deduplicates on
 its law and builds payoffs only for a law it has not tested.
@@ -244,21 +245,28 @@ def _grid_distributions(grid: tuple[Fraction, ...], n: int) -> tuple[Payoff, ...
     )
 
 
-@lru_cache(maxsize=64)
-def _split_instances(
-    grid: tuple[Fraction, ...], n_max: int
-) -> tuple[tuple[Payoff, Payoff, Payoff, Payoff], ...]:
-    """(h, w, f, g) with w + f constant at E[h], w + g = h, f a full insurance for w, g =d f."""
-    out = []
+def _split(h: Payoff, pp: Optional[PremiumPrinciple] = None) -> dict[str, Payoff]:
+    """``(w, f, g)`` with ``w + f = E[h]``, ``w + g = h``, f a full insurance for w and g =d f;
+    with ``pp``, ``w`` is shifted by the constant that makes ``pp`` price f's loss."""
+    mean = expectation(h)
+    w = split_zero_mean(h - mean).h
+    if pp is not None:
+        w = w + (pp.base(-w) + mean) / pp.theta
+    return {"w": w, "f": -w + mean, "g": h - w}
+
+
+def _split_hits(gap, sides: Sides, budget: SearchBudget, n_max: int, pp=None) -> Iterator[Trial]:
+    """Per grid payoff ``h`` of 2 to ``n_max`` states: its split if ``gap(*sides(E[h], h))``,
+    else None."""
     for n in range(2, n_max + 1):
-        for h in _grid_distributions(grid, n):
-            mean = expectation(h)
-            split = split_zero_mean(h - mean)
-            w = split.h
-            f = -w + mean
-            g = -split.h_prime + mean
-            out.append((h, w, f, g))
-    return tuple(out)
+        for h in _grid_distributions(budget.value_grid, n):
+            yield _split(h, pp) if gap(*sides(Payoff.constant(expectation(h), n), h)) else None
+
+
+def _factor(source: str, f0: Payoff, step: MpsStep) -> dict[str, Payoff]:
+    """``(w, f, g)`` of the pr or dl triple that factors the spread ``step`` of ``f0``."""
+    t = (proportional_triple if source == "pr" else deductible_triple)(f0, step)
+    return {"w": t.w_tilde, "f": t.f_tilde, "g": t.g_tilde}
 
 
 @lru_cache(maxsize=64)
@@ -272,10 +280,9 @@ def _spread_pairs(
     instances add nothing for law-invariant properties.
     """
     out = []
-    spaces = [(grid, n) for n in (2, 3)] + [(_SUBGRID4, 4)]
-    for space, n in spaces:
+    for space, n in ((grid, 2), (grid, 3), (_SUBGRID4, 4)):
         deltas = _DELTAS if n <= 3 else _DELTAS[:2]
-        for f in _grid_distributions(tuple(space), n):
+        for f in _grid_distributions(space, n):
             for s1 in range(1, n + 1):
                 for s2 in range(s1 + 1, n + 1):
                     if strict and f.nums[s1 - 1] == f.nums[s2 - 1]:
@@ -303,7 +310,7 @@ def _toward_zero(v: int, den: int) -> list[int]:
         out.append(v - den if v >= den else 0)
     elif v < 0:
         out.append(v + den if v <= -den else 0)
-    return [c for c in out if c != v]
+    return out
 
 
 def _shrink_candidates(current: dict[str, Payoff]) -> Iterator[Optional[dict[str, Payoff]]]:
@@ -323,10 +330,7 @@ def _shrink_candidates(current: dict[str, Payoff]) -> Iterator[Optional[dict[str
             yield None
 
 
-def _shrink(
-    payoffs: dict[str, Payoff],
-    predicate: Callable[[dict[str, Payoff]], Optional[tuple]],
-) -> tuple[dict[str, Payoff], tuple]:
+def _shrink(payoffs: dict[str, Payoff], predicate: Predicate) -> tuple[dict[str, Payoff], tuple]:
     """Greedy witness minimization; the predicate re-verifies the full violation.
 
     The first violating candidate replaces the witness and the candidates start over.
@@ -363,9 +367,8 @@ class _Sweep(NamedTuple):
     alternatives: list[tuple[int, ...]]  # rearrangements of f, as numerators over f.den
 
 
-# one trial of an instance stream: None (an instance with nothing to test), the parts,
-# a (parts, sums) pair whose sums (w + f, w + g) are already built, or a _Sweep
-Trial = Union[None, dict, tuple, _Sweep]
+# one trial of an instance stream: None (an instance with nothing to test), the parts or a _Sweep
+Trial = Union[None, dict, _Sweep]
 
 
 @dataclass(frozen=True)
@@ -421,8 +424,6 @@ def _search(prop: Property, budget: SearchBudget) -> CertificateReport:
         if isinstance(trial, _Sweep):
             hit = _sweep_alternatives(trial.w, trial.f, trial.alternatives, violation)
             parts = hit and {"w": trial.w, "f": trial.f, "g": hit[0]}
-        elif isinstance(trial, tuple):
-            parts = trial[0] if violation(*trial) is not None else None
         else:
             parts = trial if trial is not None and violation(trial) is not None else None
         if parts is not None:
@@ -445,17 +446,14 @@ def _random_trials(budget: SearchBudget, offset: int = 0) -> Iterator[tuple[rand
         yield rng, rng.randint(2, budget.max_n)
 
 
-def _random_spread_chain(
-    rng: random.Random, f: Payoff, steps: int
-) -> Optional[Payoff]:
+def _random_spread_chain(rng: random.Random, f: Payoff, steps: int) -> Payoff:
     g = f
     for _ in range(steps):
         states = list(range(1, len(f) + 1))
         rng.shuffle(states)
+        # with two or more states, the smallest value and any other state form a pair
         pairs = ((a, b) for a in states for b in states if a != b)
-        found = next(((a, b) for a, b in pairs if g.nums[a - 1] <= g.nums[b - 1]), None)
-        if found is None:
-            return None
+        found = next((a, b) for a, b in pairs if g.nums[a - 1] <= g.nums[b - 1])
         g = MpsStep(*found, rng.choice(_DELTAS)).apply(g)
     return g
 
@@ -467,7 +465,7 @@ def _kind_member(kind: str, f: Payoff, w: Payoff) -> bool:
 def _random_instance(
     kind: str, rng: random.Random, budget: SearchBudget, n: int
 ) -> tuple[Payoff, Payoff]:
-    """A random (w, contract payoff) pair of the requested kind."""
+    """A random (w, contract payoff) pair of a kind in ``PROPENSITY_KINDS``."""
     grid = budget.value_grid
     w = _random_payoff(rng, grid, n)
     pi = rng.choice(_PREMIUMS)
@@ -483,32 +481,28 @@ def _random_instance(
         payments = sorted(rng.choice(grid) for _ in losses)
         schedule = list(zip(losses, payments))
         return w, make_contract(w, "is", premium=pi, schedule=schedule).payoff
-    if kind in ("cs", "hedging"):
-        draws = sorted((rng.choice(grid) for _ in range(n)), reverse=True)
-        order = sorted(range(n), key=lambda i: (w.nums[i], i))
-        drawn = dict(zip(order, draws))  # the larger draws where w is smaller
-        return w, Payoff(tuple(drawn[i] for i in range(n)))
-    raise ValueError(f"unknown propensity kind {kind!r}")
+    # cs and hedging
+    draws = sorted((rng.choice(grid) for _ in range(n)), reverse=True)
+    order = sorted(range(n), key=lambda i: (w.nums[i], i))
+    drawn = dict(zip(order, draws))  # the larger draws where w is smaller
+    return w, Payoff(tuple(drawn[i] for i in range(n)))
 
 
-def _mixed_instances(
-    kind: str, rng: random.Random, budget: SearchBudget
-) -> Iterator[tuple[Payoff, Payoff, Optional[Payoff]]]:
-    """Per-trial candidates (w, f, g_or_None); g None means sweep rearrangements."""
-    n = rng.randint(2, budget.max_n)
-    if kind in ("pr", "dl", "is", "cs", "hedging") and rng.random() < 0.34:
+def _random_trial(kind: str, rng: random.Random, budget: SearchBudget, n: int) -> Trial:
+    """An insurance row's random trial: for a kind other than fi, a third of the time, a random
+    spread's triple (None on a flat payoff), else a contract swept against its rearrangements."""
+    if kind != "fi" and rng.random() < 0.34:
         f0 = _random_payoff(rng, budget.value_grid, n)
         states = [(s1, s2) for s1 in range(1, n + 1) for s2 in range(1, n + 1) if s1 != s2]
         rng.shuffle(states)
         pinch = next(((a, b) for a, b in states if f0.nums[a - 1] < f0.nums[b - 1]), None)
-        if pinch is not None:
-            step = MpsStep(*pinch, rng.choice(_DELTAS))
-            source = kind if kind in ("pr", "dl") else ("pr" if rng.random() < 0.5 else "dl")
-            t = (proportional_triple if source == "pr" else deductible_triple)(f0, step)
-            yield t.w_tilde, t.f_tilde, t.g_tilde
-        return
+        if pinch is None:
+            return None
+        step = MpsStep(*pinch, rng.choice(_DELTAS))
+        source = kind if kind in ("pr", "dl") else ("pr" if rng.random() < 0.5 else "dl")
+        return _factor(source, f0, step)
     w, f = _random_instance(kind, rng, budget, n)
-    yield w, f, None
+    return _Sweep(w, f, _alternatives(rng, f, budget))
 
 
 # the structures of the neutrality pairs (w, f, g)
@@ -522,12 +516,6 @@ def _is_better_hedge(w: Payoff, f: Payoff, g: Payoff) -> bool:
 
 def _is_rearrangement(w: Payoff, f: Payoff, g: Payoff) -> bool:
     return equal_in_distribution(f, g)
-
-
-def _insured(rng: random.Random, budget: SearchBudget, n: int) -> tuple[Payoff, Payoff]:
-    """A random ``w`` with a full insurance at a random premium."""
-    w = _random_payoff(rng, budget.value_grid, n)
-    return w, -w - rng.choice(_PREMIUMS)
 
 
 def _independent(rng: random.Random, budget: SearchBudget, n: int) -> tuple[Payoff, Payoff]:
@@ -570,8 +558,7 @@ def _spread_row(sides, budget, n_max, kind, pp):
             yield {"f": f, "g": g}
         for rng, n in _random_trials(budget):
             f = _random_payoff(rng, budget.value_grid, n)
-            g = _random_spread_chain(rng, f, rng.randint(1, 3))
-            yield None if g is None else {"f": f, "g": g}
+            yield {"f": f, "g": _random_spread_chain(rng, f, rng.randint(1, 3))}
 
     return violation, trials(), (CONTINUITY_NOTE,)
 
@@ -595,24 +582,15 @@ def _insurance_row(sides, budget, n_max, kind, pp):
 
     def trials() -> Iterator[Trial]:
         if kind == "fi":
-            for h, w, f, g in _split_instances(budget.value_grid, n_max):
-                yield {"w": w, "f": f, "g": g}, (Payoff.constant(expectation(h), len(h)), h)
+            yield from _split_hits(lt, sides, budget, n_max)
         else:
             for source in (kind,) if kind in ("pr", "dl") else ("pr", "dl"):
-                factor = proportional_triple if source == "pr" else deductible_triple
                 for f0, step, g0 in _spread_pairs(budget.value_grid, source == "pr"):
-                    if not lt(*sides(f0, g0)):
-                        yield None
-                        continue
-                    t = factor(f0, step)
-                    yield {"w": t.w_tilde, "f": t.f_tilde, "g": t.g_tilde}, (f0, g0)
-        for t in range(budget.trials):
-            rng = _rng(budget.seed, t)
-            for w, f, g in _mixed_instances(kind, rng, budget):
-                if g is None:
-                    yield _Sweep(w, f, _alternatives(rng, f, budget))
-                else:
-                    yield {"w": w, "f": f, "g": g}
+                    yield _factor(source, f0, step) if lt(*sides(f0, g0)) else None
+        for rng, n in _random_trials(budget):
+            trial = _random_trial(kind, rng, budget, n)
+            if trial is not None:  # a flat spread draw is no trial
+                yield trial
 
     return violation, trials(), () if kind == "fi" else (CONTINUITY_NOTE,)
 
@@ -627,10 +605,7 @@ def _premium_row(sides, budget, n_max, kind, pp):
         return _if_less(sides(*(sums or (w + f, w + g))))
 
     def trials() -> Iterator[Trial]:
-        for h, w0, f0, g0 in _split_instances(budget.value_grid, n_max):
-            # shift the premium-free split instance so the price matches the principle
-            gamma = (pp.base(-w0) + expectation(h)) / pp.theta
-            yield {"w": w0 + gamma, "f": f0 - gamma, "g": g0 - gamma}
+        yield from _split_hits(lt, sides, budget, n_max, pp)
         for rng, n in _random_trials(budget):
             w = _random_payoff(rng, budget.value_grid, n)
             f = -w - pp.base(-w)
@@ -651,8 +626,7 @@ def _pair_row(structure, offset, draw, splits, sides, budget, n_max, kind, pp):
         return (lhs, rhs) if lhs != rhs else None
 
     def trials() -> Iterator[Trial]:
-        for _, w, f, g in _split_instances(budget.value_grid, n_max) if splits else ():
-            yield {"w": w, "f": f, "g": g}
+        yield from _split_hits(ne, sides, budget, n_max) if splits else ()
         for rng, n in _random_trials(budget, offset):
             w, f = draw(rng, budget, n)
             for perm in _sampled_permutations(rng, f, 6):
@@ -689,7 +663,7 @@ _ROWS: dict[str, tuple[Callable[..., tuple], str, bool]] = {
         partial(_expectation_row, "f", ne, 10_000), "V(E[f]) != V(f)", True
     ),
     "full_insurance_neutrality": (
-        partial(_pair_row, _is_full_insurance, 20_000, _insured, True),
+        partial(_pair_row, _is_full_insurance, 20_000, partial(_random_instance, "fi"), True),
         "V(w+f) != V(w+g) with f full insurance, g =d f",
         True,
     ),

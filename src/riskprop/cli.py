@@ -2,12 +2,13 @@
 
 Subcommands: ``order``, ``classify``, ``decompose``, ``hedge``,
 ``preference``, ``certify``, ``compare``.  Inputs are JSON files (see
-serialize); results are deterministic JSON on stdout or ``--out``.
+serialize); results are deterministic JSON on stdout or ``--out``, which
+is opened before the command runs and left as it was if the command fails.
 
 Exit codes: 0 success / property holds on budget, 2 malformed input or
 a file that cannot be read or written, 3 a certificate reports a
-violation.  The environment variable
-``RISKPROP_SEED`` overrides the default search seed.
+violation.  The environment variable ``RISKPROP_SEED`` overrides the
+default search seed.
 """
 
 from __future__ import annotations
@@ -68,13 +69,10 @@ def _default_seed() -> int:
 
 
 def _budget_from_args(args: argparse.Namespace) -> C.SearchBudget:
-    kwargs: dict[str, Any] = {}
-    if args.max_n is not None:
-        kwargs["max_n"] = args.max_n
-    if args.exhaustive_n is not None:
-        kwargs["exhaustive_n"] = args.exhaustive_n
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
+    kwargs: dict[str, Any] = {
+        key: getattr(args, key) for key in ("max_n", "exhaustive_n", "trials")
+        if getattr(args, key) is not None
+    }
     kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
     if args.grid is not None:
         kwargs["value_grid"] = tuple(
@@ -92,6 +90,16 @@ def _add_budget_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid", type=str, default=None, help="comma-separated rationals")
+
+
+def _claim_out(path: str) -> bool:
+    """Open ``--out`` for writing without truncating it; True when this creates the file."""
+    create = not os.path.exists(path)
+    try:  # O_EXCL: a file that appears meanwhile is never taken for one this created
+        os.close(os.open(path, os.O_WRONLY | (os.O_CREAT | os.O_EXCL if create else 0), 0o666))
+    except OSError as exc:
+        raise S.InputError(f"--out {path}: cannot write ({exc.strerror})")
+    return create
 
 
 def _emit(obj: Any, out: Optional[str]) -> None:
@@ -173,9 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_order(args: argparse.Namespace) -> tuple[Any, int]:
     f, g = _load_payoff(args.f), _load_payoff(args.g)
-    wanted = [name for name, on in (("cv", args.cv), ("fsd", args.fsd), ("mps", args.mps)) if on]
-    if not wanted:
-        wanted = ["cv", "fsd", "mps"]
+    flags = (("cv", args.cv), ("fsd", args.fsd), ("mps", args.mps))
+    wanted = [name for name, on in flags if on] or ["cv", "fsd", "mps"]
     out: dict[str, Any] = {}
     if "cv" in wanted:
         out["cv"] = concave_order(f, g)
@@ -271,12 +278,19 @@ _RUNNERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    created = done = False
     try:  # the one error boundary: malformed input and failed reads or writes exit 2
+        if args.out:  # before the command runs, so a bad path costs no work
+            created = _claim_out(args.out)
         result, code = _RUNNERS[args.command](args)
         _emit(result, args.out)
+        done = True
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if created and not done:  # a failed command leaves no new file behind
+            os.remove(args.out)
     return code
 
 

@@ -203,31 +203,24 @@ def _proportional_from(points: list[tuple[int, int]], d: int) -> Optional[dict]:
 
 
 def _deductible_limit_from(points: list[tuple[int, int]], d: int) -> Optional[dict]:
-    lowest, highest = points[0][1], points[-1][1]  # payments rise with the loss
-    if lowest == highest:
-        return {"deductible": Fraction(0), "limit": Fraction(0), "premium": Fraction(-lowest, d)}
-    # Some point must lie on the slope-one segment, so its loss minus
-    # payment determines deductible + premium; scan the candidates.
-    for b in sorted({lv - pay for lv, pay in points}):
-        low = {pay for lv, pay in points if pay > lv - b}
-        if len(low) > 1:
-            break  # the points above the line only gain members as b grows
-        high = {pay for lv, pay in points if pay < lv - b}
-        if len(high) > 1:
-            continue
-        on_line = [pay for lv, pay in points if pay == lv - b]
-        floor = low.pop() if low else lowest
-        cap = high.pop() if high else highest
-        if cap < floor:
-            continue
-        if on_line and (min(on_line) < floor or max(on_line) > cap):
-            continue
-        return {
-            "deductible": Fraction(b + floor, d),
-            "limit": Fraction(cap - floor, d),
-            "premium": Fraction(-floor, d),
-        }
-    return None
+    # pay = clamp(loss - b, floor, cap) with b = deductible + premium; payments rise
+    # with the loss, so the floor is the lowest payment and the cap the highest
+    floor, cap = points[0][1], points[-1][1]
+    if floor == cap:
+        return {"deductible": Fraction(0), "limit": Fraction(0), "premium": Fraction(-floor, d)}
+    lo = max(lv for lv, pay in points if pay == floor) - floor  # loss - b <= floor there
+    hi = min(lv for lv, pay in points if pay == cap) - cap  # loss - b >= cap there
+    between = {lv - pay for lv, pay in points if floor < pay < cap}  # on the slope-one line
+    if len(between) > 1:
+        return None
+    b = between.pop() if between else lo
+    if not lo <= b <= hi:
+        return None
+    return {
+        "deductible": Fraction(b + floor, d),
+        "limit": Fraction(cap - floor, d),
+        "premium": Fraction(-floor, d),
+    }
 
 
 def _indemnity_from(points: list[tuple[int, int]], d: int) -> dict:

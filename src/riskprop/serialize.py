@@ -82,12 +82,12 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, float):
         raise InputError(
             f"{where}: JSON numbers with a fractional part are inexact; "
             f"write the value as a string such as \"5/2\" or \"2.5\""
         )
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         _check_digits(value, where)

@@ -33,20 +33,23 @@ from riskprop.certify import (
     HOLDS,
     PROPENSITY_KINDS,
     VIOLATED,
+    _DELTAS,
     _alternatives,
+    _grid_distributions,
     _kind_member,
     _law,
-    _mixed_instances,
     _per_law,
     _random_instance,
+    _random_payoff,
     _rng,
     _shrink,
-    _split_instances,
+    _split,
     _spread_pairs,
     _sweep_alternatives,
 )
 from riskprop import certify
-from riskprop.decompose import deductible_triple, proportional_triple
+from riskprop.decompose import deductible_triple, proportional_triple, split_zero_mean
+from riskprop.orders import MpsStep
 from conftest import P, build_zoo
 
 BUDGET = SearchBudget(max_n=4, exhaustive_n=4, trials=80, seed=0)
@@ -469,8 +472,36 @@ def _payoff_sweep(w, f, alternatives, test):
     return None
 
 
+def _eager_splits(grid, n_max):
+    """Oracle: ``(w, f, g)`` for the zero-mean split of every grid payoff, built up front."""
+    for n in range(2, n_max + 1):
+        for h in _grid_distributions(grid, n):
+            mean = expectation(h)
+            split = split_zero_mean(h - mean)
+            yield split.h, -split.h + mean, -split.h_prime + mean
+
+
+def _eager_mixed(kind, rng, budget):
+    """Oracle: one random trial's candidates ``(w, f, g or None)``; None means sweep rearrangements."""
+    n = rng.randint(2, budget.max_n)
+    if kind in ("pr", "dl", "is", "cs", "hedging") and rng.random() < 0.34:
+        f0 = _random_payoff(rng, budget.value_grid, n)
+        states = [(s1, s2) for s1 in range(1, n + 1) for s2 in range(1, n + 1) if s1 != s2]
+        rng.shuffle(states)
+        pinch = next(((a, b) for a, b in states if f0.nums[a - 1] < f0.nums[b - 1]), None)
+        if pinch is not None:
+            step = MpsStep(*pinch, rng.choice(_DELTAS))
+            source = kind if kind in ("pr", "dl") else ("pr" if rng.random() < 0.5 else "dl")
+            t = (proportional_triple if source == "pr" else deductible_triple)(f0, step)
+            yield t.w_tilde, t.f_tilde, t.g_tilde
+        return
+    w, f = _random_instance(kind, rng, budget, n)
+    yield w, f, None
+
+
 def _eager_search(kind, sides, budget, split_n):
-    """Oracle: an insurance propensity search that factors every phase-1 spread pair.
+    """Oracle: an insurance propensity search that splits every phase-1 grid payoff and
+    factors every phase-1 spread pair.
 
     A copy of the search before phase 1 tested the value gap on the sums
     first, with the structure-first predicate and no memo.  Returns
@@ -478,7 +509,7 @@ def _eager_search(kind, sides, budget, split_n):
     """
     violation = _structure_first(kind, sides)
     if kind == "fi":
-        phase1 = ((w, f, g) for _, w, f, g in _split_instances(budget.value_grid, split_n))
+        phase1 = _eager_splits(budget.value_grid, split_n)
     else:
         phase1 = (
             (t.w_tilde, t.f_tilde, t.g_tilde)
@@ -494,7 +525,7 @@ def _eager_search(kind, sides, budget, split_n):
             return (VIOLATED, trials_run) + _shrink(parts, violation)
     for t in range(budget.trials):
         rng = _rng(budget.seed, t)
-        for w, f, g in _mixed_instances(kind, rng, budget):
+        for w, f, g in _eager_mixed(kind, rng, budget):
             alternatives = [g] if g is not None else _payoff_alternatives(rng, f, budget)
             trials_run += 1
             seen = set()
@@ -558,14 +589,33 @@ class TestLazyPhaseOne:
         )
         assert _outcome(compare_propensity(kind, mA, mB, budget)) == oracle
 
+    def test_flat_spread_draws_are_not_trials(self):
+        """A random spread draw on a flat payoff yields no trial, as in the eager oracle."""
+        m, budget = ZOO["eu_concave"], SearchBudget(max_n=4, exhaustive_n=3, trials=200, seed=1)
+        report = check_propensity("pr", m, budget)
+        oracle = _eager_search(
+            "pr", lambda wf, wg: (m.value(wf), m.value(wg)), budget, budget.exhaustive_n
+        )
+        assert report.verdict == HOLDS and _outcome(report) == oracle
+        assert report.trials_run < len(_spread_pairs(budget.value_grid, True)) + budget.trials
+
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_phase1_sums_are_the_factored_sums(self, grid):
         for strict, factor in ((True, proportional_triple), (False, deductible_triple)):
             for f0, step, g0 in _spread_pairs(GRIDS[grid], strict):
                 t = factor(f0, step)
                 assert (t.w_tilde + t.f_tilde, t.w_tilde + t.g_tilde) == (f0, g0)
-        for h, w, f, g in _split_instances(GRIDS[grid], 4):
-            assert (w + f, w + g) == (Payoff.constant(expectation(h), len(h)), h)
+        for n in range(2, 5):
+            for h in _grid_distributions(GRIDS[grid], n):
+                parts = _split(h)
+                w, f, g = parts["w"], parts["f"], parts["g"]
+                assert (w + f, w + g) == (Payoff.constant(expectation(h), n), h)
+                assert _kind_member("fi", f, w) and equal_in_distribution(f, g)
+                for pp in (fair_principle(), loading_principle(F(1, 5))):
+                    priced = _split(h, pp)
+                    w, f, g = priced["w"], priced["f"], priced["g"]
+                    assert (w + f, w + g) == (Payoff.constant(expectation(h), n), h)
+                    assert f == -w - pp.base(-w) and equal_in_distribution(f, g)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -1,10 +1,25 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from riskprop import (
+    SearchBudget,
+    check_neutrality,
+    check_premium_propensity,
+    check_propensity,
+    check_strong_risk_aversion,
+    check_weak_risk_aversion,
+    compare_propensity,
+    compare_strong,
+    compare_weak,
+    fair_principle,
+    loading_principle,
+)
+from riskprop.certify import PROPENSITY_KINDS
 from riskprop.cli import main
-from riskprop.serialize import dumps, payoff_from_obj, payoff_to_obj
-from conftest import P
+from riskprop.serialize import dumps, model_to_obj, payoff_from_obj, payoff_to_obj, report_to_obj
+from conftest import P, build_zoo
 
 
 @pytest.fixture
@@ -421,3 +436,189 @@ class TestDeterminism:
         if mtype in ("eu", "dual"):
             obj["fn"] = {"breakpoints": [["0/1", "0/1"], ["1/2", "1/3"], ["1/1", "1/1"]]}  # as emitted
         assert model_to_obj(model_from_obj(obj)) == obj
+
+
+class TestOutBeforeRun:
+    """``--out`` is opened before the command runs, and a failed command leaves it as it was."""
+
+    def test_bad_path_exits_before_the_search(self, files, tmp_path, capsys, monkeypatch):
+        from riskprop import certify
+
+        calls = []
+        monkeypatch.setattr(certify, "compare_propensity", lambda *a: calls.append(a))
+        target = tmp_path / "missing" / "x.json"
+        argv = ["--out", str(target), "compare", "--property", "fi",
+                "--model-a", files["eu_convex"], "--model-b", files["eu_concave"]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--out {target}: cannot write (No such file or directory)" in err
+        assert "Traceback" not in err and calls == []
+
+    def test_failed_command_leaves_existing_file_unchanged(self, files, tmp_path, capsys):
+        target = tmp_path / "kept.json"
+        target.write_text("previous result\n")
+        bad = files["write"]("bad.json", {"values": []})
+        assert main(["--out", str(target), "order", bad, files["g"]]) == 2
+        assert "bad.json.values: expected a nonempty array" in capsys.readouterr().err
+        assert target.read_text() == "previous result\n"
+
+    def test_failed_command_creates_no_file(self, files, tmp_path, capsys):
+        target = tmp_path / "new.json"
+        bad = files["write"]("bad.json", {"values": []})
+        assert main(["--out", str(target), "order", bad, files["g"]]) == 2
+        assert not target.exists()
+
+    def test_successful_command_replaces_existing_file(self, files, tmp_path, capsys):
+        target = tmp_path / "old.json"
+        target.write_text("x" * 1000)
+        assert main(["--out", str(target), "order", "--cv", files["f"], files["g"]]) == 0
+        assert json.loads(target.read_text()) == {"cv": True}
+        assert capsys.readouterr().out == ""
+
+
+EU = {"type": "eu", "fn": {"breakpoints": [["0", "0"], ["1", "1"]]}}
+DUAL = {"type": "dual", "fn": {"breakpoints": [["0", "0"], ["1", "1"]]}}
+
+
+class TestExitTwoMessages:
+    """Each malformed input exits 2 with a message naming the bad field, and no traceback."""
+
+    def _fails(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_invalid_json(self, files, capsys):
+        path = files["dir"] / "broken.json"
+        path.write_text("{not json")
+        self._fails(capsys, ["order", str(path), files["g"]], f"{path}: invalid JSON (")
+
+    def test_seed_not_an_integer(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("RISKPROP_SEED", "abc")
+        argv = ["certify", "--property", "weak_ra", "--model", files["ev"], "--trials", "0"]
+        self._fails(capsys, argv, "RISKPROP_SEED: expected an integer, got 'abc'")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("x/", "x.json.values[0]: cannot parse rational from 'x/'"),
+            ([1], "x.json.values[0]: expected an int or rational string, got list"),
+            (True, "x.json.values[0]: expected an int or rational string, got bool"),
+        ],
+        ids=["unparsable", "list", "bool"],
+    )
+    def test_bad_value(self, files, capsys, value, message):
+        bad = files["write"]("x.json", {"values": [value, "1"]})
+        self._fails(capsys, ["order", bad, files["g"]], message)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([1, 2], "p.json: expected an object with 'values'"),
+            ({"values": []}, "p.json.values: expected a nonempty array"),
+        ],
+        ids=["not-an-object", "empty-values"],
+    )
+    def test_bad_payoff(self, files, capsys, obj, message):
+        self._fails(capsys, ["order", files["write"]("p.json", obj), files["g"]], message)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (["eu"], "m.json: expected an object with 'type'"),
+            ({"type": "eu"}, "m.json.fn: expected an object with 'breakpoints'"),
+            (
+                {"type": "eu", "fn": {"breakpoints": [["0", "0"]]}},
+                "m.json.fn.breakpoints: expected an array of at least two [x, y] pairs",
+            ),
+            (
+                {"type": "eu", "fn": {"breakpoints": [["0", "0"], ["1"]]}},
+                "m.json.fn.breakpoints[1]: expected an [x, y] pair",
+            ),
+            (
+                {"type": "eu", "fn": {"breakpoints": [["1", "1"], ["0", "0"]]}},
+                "m.json.fn.breakpoints: breakpoint abscissae must be strictly increasing",
+            ),
+            (
+                {"type": "eu", "fn": {"breakpoints": [["0", "1"], ["1", "0"]]}},
+                "m.json.fn: utility must be strictly increasing",
+            ),
+            (
+                {"type": "dual", "fn": {"breakpoints": [["0", "0"], ["1/2", "1"], ["1", "1/2"]]}},
+                "m.json.fn: distortion must be increasing",
+            ),
+            (
+                {"type": "dual", "fn": {"breakpoints": [["0", "0"], ["1", "1/2"]]}},
+                "m.json.fn: distortion must satisfy g(0) = 0 and g(1) = 1",
+            ),
+        ],
+        ids=[
+            "not-an-object", "no-fn", "one-breakpoint", "not-a-pair", "unsorted",
+            "decreasing-utility", "decreasing-distortion", "unnormalised-distortion",
+        ],
+    )
+    def test_bad_model(self, files, capsys, obj, message):
+        bad = files["write"]("m.json", obj)
+        self._fails(capsys, ["preference", bad, "--value", files["g"]], message)
+
+    def test_value_of_a_partial_order_model(self, files, capsys):
+        mv = files["write"]("mv.json", {"type": "mv"})
+        self._fails(
+            capsys, ["preference", mv, "--value", files["g"]],
+            "model 'mean-variance' has no total evaluator",
+        )
+
+
+class TestPropertyDispatch:
+    """Every ``--property`` choice prints the library's report and exits 3 exactly on a violation."""
+
+    BUDGET = SearchBudget(max_n=3, exhaustive_n=3, trials=6, seed=4)
+    BUDGET_ARGS = ["--max-n", "3", "--exhaustive-n", "3", "--trials", "6", "--seed", "4"]
+    ZOO = build_zoo()
+    MODELS = {"eu_concave": ZOO["eu_concave"], "eu_convex": ZOO["eu_convex_kink"],
+              "dual": ZOO["dual_nonconvex"], "ev": ZOO["expected_value"]}
+
+    @pytest.fixture
+    def model_files(self, files):
+        return {key: files["write"](f"{key}.json", model_to_obj(m)) for key, m in self.MODELS.items()}
+
+    def _matches(self, capsys, argv, report):
+        code = main(argv + self.BUDGET_ARGS)
+        assert capsys.readouterr().out == dumps(report_to_obj(report))
+        assert code == (3 if report.violated else 0)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize(
+        "prop", ["weak_ra", "strong_ra", "neutrality", "premium_fi", *PROPENSITY_KINDS]
+    )
+    def test_certify(self, capsys, model_files, prop, model):
+        m, b = self.MODELS[model], self.BUDGET
+        report = {
+            "weak_ra": lambda: check_weak_risk_aversion(m, b),
+            "strong_ra": lambda: check_strong_risk_aversion(m, b),
+            "neutrality": lambda: check_neutrality(m, b),
+            "premium_fi": lambda: check_premium_propensity(m, fair_principle(), b),
+        }.get(prop, lambda: check_propensity(prop, m, b))()
+        self._matches(capsys, ["certify", "--property", prop, "--model", model_files[model]], report)
+
+    def test_certify_premium_with_loading(self, capsys, model_files):
+        report = check_premium_propensity(
+            self.MODELS["eu_convex"], loading_principle(F(1, 3)), self.BUDGET
+        )
+        argv = ["certify", "--property", "premium_fi", "--model", model_files["eu_convex"],
+                "--principle", "loading", "--loading", "1/3"]
+        self._matches(capsys, argv, report)
+
+    @pytest.mark.parametrize("pair", [("ev", "eu_concave"), ("eu_concave", "dual")])
+    @pytest.mark.parametrize("prop", ["weak", "strong", *PROPENSITY_KINDS])
+    def test_compare(self, capsys, model_files, prop, pair):
+        mA, mB = (self.MODELS[k] for k in pair)
+        b = self.BUDGET
+        report = {
+            "weak": lambda: compare_weak(mA, mB, b),
+            "strong": lambda: compare_strong(mA, mB, b),
+        }.get(prop, lambda: compare_propensity(prop, mA, mB, b))()
+        argv = ["compare", "--property", prop,
+                "--model-a", model_files[pair[0]], "--model-b", model_files[pair[1]]]
+        self._matches(capsys, argv, report)
