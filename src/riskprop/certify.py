@@ -302,14 +302,17 @@ def _drop_state(p: Payoff, idx: int) -> Payoff:
 
 
 def _toward_zero(v: int, den: int) -> list[int]:
-    """Shrink candidates for the value ``v / den``, as numerators over ``den``."""
+    """Distinct shrink candidates for the value ``v / den``, as numerators over ``den``.
+
+    Below one in size, the truncation toward zero is already the unit step.
+    """
     out = []
     if v % den:
         out.append((abs(v) // den) * den * (1 if v > 0 else -1))  # truncate toward zero
-    if v > 0:
-        out.append(v - den if v >= den else 0)
-    elif v < 0:
-        out.append(v + den if v <= -den else 0)
+    if v >= den:
+        out.append(v - den)
+    elif v <= -den:
+        out.append(v + den)
     return out
 
 

@@ -160,8 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="certify a property of one model")
     p_cert.add_argument("--property", required=True, choices=(
-        "weak_ra", "strong_ra", "neutrality", "premium_fi",
-        "fi", "pr", "dl", "is", "cs", "hedging",
+        "weak_ra", "strong_ra", "neutrality", "premium_fi", *C.PROPENSITY_KINDS,
     ))
     p_cert.add_argument("--model", required=True)
     p_cert.add_argument("--principle", choices=("fair", "loading"), default="fair")
@@ -169,9 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget_args(p_cert)
 
     p_cmp = sub.add_parser("compare", help="comparative attitude of model B against model A")
-    p_cmp.add_argument("--property", required=True, choices=(
-        "weak", "strong", "fi", "pr", "dl", "is", "cs", "hedging",
-    ))
+    p_cmp.add_argument("--property", required=True, choices=("weak", "strong", *C.PROPENSITY_KINDS))
     p_cmp.add_argument("--model-a", required=True, dest="model_a")
     p_cmp.add_argument("--model-b", required=True, dest="model_b")
     _add_budget_args(p_cmp)

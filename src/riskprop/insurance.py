@@ -64,13 +64,7 @@ class InsuranceKind(enum.Enum):
             raise ValueError(f"unknown insurance kind {tag!r}; expected one of fi, pr, dl, is, cs")
 
 
-KIND_ORDER = (
-    InsuranceKind.FULL,
-    InsuranceKind.PROPORTIONAL,
-    InsuranceKind.DEDUCTIBLE_LIMIT,
-    InsuranceKind.INDEMNITY_SCHEDULE,
-    InsuranceKind.CONTINGENCY_SCHEDULE,
-)
+KIND_ORDER = tuple(InsuranceKind)
 
 
 @dataclass(frozen=True)

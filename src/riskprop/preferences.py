@@ -1,9 +1,8 @@
 """Preference models over payoffs: expected utility, the dual model, and friends.
 
-Every evaluator is exact.  Utilities and distortions are piecewise
-linear with rational breakpoints (a distortion may also be a callable
-returning exact rationals), so values, certainty equivalents and
-compensation amounts are exact rationals.
+Every evaluator is exact.  Utilities and distortions are both
+``PiecewiseLinearFn``s with rational breakpoints, so values, certainty
+equivalents and compensation amounts are exact rationals.
 
 The dual model uses the Choquet convention with values sorted
 descending against increments of the distortion at the grid ``k/n``;
@@ -18,9 +17,8 @@ import bisect
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .space import Payoff, RationalLike, _nums_over, as_fraction, expectation, variance
 
@@ -38,9 +36,6 @@ __all__ = [
     "certainty_equivalent",
     "rho",
 ]
-
-Distortion = Union["PiecewiseLinearFn", Callable[[Fraction], Fraction]]
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearFn:
@@ -65,13 +60,9 @@ class PiecewiseLinearFn:
         # ``(_icepts[j] + _islopes[j] * x) / _q``, with ``_q`` the lcm of its denominators.
         # ``_weights`` caches the distortion increments per grid size ``n`` (see ``dual_value``).
         vars(self).update(
-            xs=xs, slopes=slopes, _hash=hash((pts,)), _xden=xden, _xnums=_numerators(xs, xden),
+            xs=xs, slopes=slopes, _xden=xden, _xnums=_numerators(xs, xden),
             _q=q, _icepts=_numerators(icepts, q), _islopes=_numerators(slopes, q), _weights={},
         )
-
-    def __hash__(self) -> int:
-        """Precomputed: caches keyed on a distortion hash it on every lookup."""
-        return self._hash
 
     @classmethod
     def identity(cls) -> "PiecewiseLinearFn":
@@ -110,26 +101,6 @@ class PiecewiseLinearFn:
     def nondecreasing(self) -> bool:
         return all(s >= 0 for s in self.slopes)
 
-    def inverse(self, y: RationalLike) -> Fraction:
-        """Exact preimage for a strictly increasing function."""
-        if not self.strictly_increasing():
-            raise ValueError("inverse needs a strictly increasing function")
-        y = as_fraction(y)
-        pts = self.breakpoints
-        ys = [py for _, py in pts]
-        idx = bisect.bisect_left(ys, y)
-        if idx == 0:
-            (x1, y1), s = pts[0], self.slopes[0]
-            return x1 + (y - y1) / s
-        if idx == len(pts):
-            (x2, y2), s = pts[-1], self.slopes[-1]
-            return x2 + (y - y2) / s
-        x2, y2 = pts[idx]
-        if y == y2:
-            return x2
-        x1, y1 = pts[idx - 1]
-        return x1 + (x2 - x1) * (y - y1) / (y2 - y1)
-
 
 def _numerators(values, d: int) -> list[int]:
     """Numerators of the rationals ``values`` over ``d``, a multiple of every denominator."""
@@ -142,12 +113,9 @@ def eu_value(u: PiecewiseLinearFn, f: Payoff) -> Fraction:
     return Fraction(u._scaled_sum(_nums_over(f, d), d), u._q * d * len(f))
 
 
-def _increments(g: Distortion, n: int) -> tuple[tuple[int, ...], int]:
-    """Increments ``g(k/n) - g((k-1)/n)``, validated, as integers over their lcm.
-
-    A float-valued callable is refused (``TypeError``) at its first value.
-    """
-    grid = [as_fraction(g(Fraction(k, n))) for k in range(n + 1)]
+def _increments(g: PiecewiseLinearFn, n: int) -> tuple[tuple[int, ...], int]:
+    """Increments ``g(k/n) - g((k-1)/n)``, validated, as integers over their lcm."""
+    grid = [g(Fraction(k, n)) for k in range(n + 1)]
     if grid[0] != 0 or grid[-1] != 1:
         raise ValueError("distortion must satisfy g(0) = 0 and g(1) = 1")
     if any(a > b for a, b in zip(grid, grid[1:])):
@@ -157,23 +125,15 @@ def _increments(g: Distortion, n: int) -> tuple[tuple[int, ...], int]:
     return tuple(_numerators(weights, wden)), wden
 
 
-_distortion_weights = lru_cache(maxsize=1024)(_increments)
-
-
-def dual_value(g: Distortion, f: Payoff) -> Fraction:
+def dual_value(g: PiecewiseLinearFn, f: Payoff) -> Fraction:
     """Choquet value: descending values weighted by distortion increments of ``k/n``.
 
-    A ``PiecewiseLinearFn`` keeps its increments per ``n`` on the instance: an
-    ``lru_cache`` lookup with an equal but distinct distortion would compare
-    breakpoints.  Callables go through ``_distortion_weights``.
+    The increments are kept per ``n`` on the distortion itself.
     """
     n = len(f)
-    if isinstance(g, PiecewiseLinearFn):
-        if n not in g._weights:
-            g._weights[n] = _increments(g, n)
-        weights, wden = g._weights[n]
-    else:
-        weights, wden = _distortion_weights(g, n)
+    if n not in g._weights:
+        g._weights[n] = _increments(g, n)
+    weights, wden = g._weights[n]
     ordered = sorted(f.nums, reverse=True)
     return Fraction(sum(v * wt for v, wt in zip(ordered, weights)), f.den * wden)
 
@@ -212,7 +172,7 @@ class PreferenceModel:
     name: str
     family: str  # "ev" | "eu" | "dual" | "mv"
     utility: Optional[PiecewiseLinearFn] = None
-    distortion: Optional[Distortion] = None
+    distortion: Optional[PiecewiseLinearFn] = None
 
     def has_total_evaluator(self) -> bool:
         return self.family != "mv"
@@ -237,11 +197,13 @@ def expected_utility_model(u: PiecewiseLinearFn, name: str = "expected-utility")
     return PreferenceModel(name=name, family="eu", utility=u)
 
 
-def dual_model(distortion: Distortion, name: str = "dual") -> PreferenceModel:
-    """A dual model; ``g(0)`` and ``g(1)`` must be exactly 0 and 1 (a float is a ``TypeError``)."""
-    if isinstance(distortion, PiecewiseLinearFn) and not distortion.nondecreasing():
+def dual_model(distortion: PiecewiseLinearFn, name: str = "dual") -> PreferenceModel:
+    """A dual model; the distortion is nondecreasing with ``g(0) = 0`` and ``g(1) = 1``."""
+    if not isinstance(distortion, PiecewiseLinearFn):
+        raise TypeError(f"distortion must be a PiecewiseLinearFn, got {type(distortion).__name__}")
+    if not distortion.nondecreasing():
         raise ValueError("distortion must be increasing")
-    if as_fraction(distortion(Fraction(0))) != 0 or as_fraction(distortion(Fraction(1))) != 1:
+    if distortion(0) != 0 or distortion(1) != 1:
         raise ValueError("distortion must satisfy g(0) = 0 and g(1) = 1")
     return PreferenceModel(name=name, family="dual", distortion=distortion)
 
@@ -295,11 +257,9 @@ def _rho_eu(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> Fraction:
 
 
 def certainty_equivalent(m: PreferenceModel, f: Payoff) -> Fraction:
-    """The constant the model finds indifferent to ``f``."""
+    """The constant the model finds indifferent to ``f``: ``-rho(m, f, 0)``."""
     _require_secular(m, "certainty_equivalent")
-    if m.family == "eu":
-        return m.utility.inverse(eu_value(m.utility, f))
-    return m.value(f)  # ev and dual: constants evaluate to themselves
+    return -rho(m, f, Payoff.constant(0, len(f)))
 
 
 def rho(m: PreferenceModel, g: Payoff, f: Payoff) -> Fraction:

@@ -156,16 +156,10 @@ def model_from_obj(obj: Any, where: str = "model") -> PreferenceModel:
         return expected_value_model(**named)
     if mtype == "mv":
         return mean_variance_model(**named)
-    if mtype == "eu":
-        u = _breakpoints_from_obj(obj.get("fn"), f"{where}.fn")
+    if mtype in ("eu", "dual"):
+        fn = _breakpoints_from_obj(obj.get("fn"), f"{where}.fn")
         try:
-            return expected_utility_model(u, **named)
-        except ValueError as exc:
-            raise InputError(f"{where}.fn: {exc}")
-    if mtype == "dual":
-        g = _breakpoints_from_obj(obj.get("fn"), f"{where}.fn")
-        try:
-            return dual_model(g, **named)
+            return (expected_utility_model if mtype == "eu" else dual_model)(fn, **named)
         except ValueError as exc:
             raise InputError(f"{where}.fn: {exc}")
     raise InputError(f"{where}.type: expected one of eu, dual, mv, ev, got {mtype!r}")
@@ -173,16 +167,9 @@ def model_from_obj(obj: Any, where: str = "model") -> PreferenceModel:
 
 def model_to_obj(m: PreferenceModel) -> dict:
     obj: dict[str, Any] = {"type": m.family, "name": m.name}
-    if m.family == "eu":
-        obj["fn"] = {
-            "breakpoints": [[format_fraction(x), format_fraction(y)] for x, y in m.utility.breakpoints]
-        }
-    if m.family == "dual":
-        if not isinstance(m.distortion, PiecewiseLinearFn):
-            raise ValueError("only piecewise-linear distortions serialize")
-        obj["fn"] = {
-            "breakpoints": [[format_fraction(x), format_fraction(y)] for x, y in m.distortion.breakpoints]
-        }
+    fn = m.utility or m.distortion  # eu and dual carry one function each
+    if fn is not None:
+        obj["fn"] = {"breakpoints": [[format_fraction(x), format_fraction(y)] for x, y in fn.breakpoints]}
     return obj
 
 

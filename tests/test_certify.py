@@ -301,6 +301,25 @@ class TestReports:
         r = check_propensity("pr", models["dual_nonconvex"], BUDGET)
         assert len(r.witness.payoffs["w"]) <= 3
 
+    def test_shrink_stops_partway_through_a_pass_when_its_budget_runs_out(self):
+        """66 states of 7/2: a pass offers 66 drops and two moves per value, more than 200 candidates.
+
+        Only the first value's truncation to 3 is accepted.  The first pass spends 67
+        candidates, the second runs out at the marker after 66 drops and 67 moves.
+        """
+        start = {"f": Payoff((F(7, 2),) * 66)}
+        calls = []
+
+        def predicate(parts):
+            calls.append(parts)
+            total = sum(parts["f"].values)
+            return (total, F(461, 2)) if len(parts["f"]) == 66 and total >= F(461, 2) else None
+
+        shrunk, sides = _shrink(start, predicate)
+        assert len(calls) == 1 + 200
+        assert shrunk == {"f": Payoff((F(3),) + (F(7, 2),) * 65)}
+        assert predicate(shrunk) == sides == (F(461, 2), F(461, 2))
+
 
 def _propensity_violation_fn(kind, m):
     """The predicate of the ``propensity[kind]`` row of the property table."""

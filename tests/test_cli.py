@@ -111,6 +111,12 @@ class TestDecompose:
             "delta": "1/1",
         }
 
+    def test_chain_of_a_pure_permutation(self, capsys, files):
+        swapped = files["write"]("swapped.json", {"n": 2, "values": ["2", "0"]})
+        code, out = run(capsys, ["decompose", "chain", files["g"], swapped])
+        assert code == 0
+        assert out == {"elements": [{"permutation": [2, 1]}], "spread_count": 0}
+
     def test_triples(self, capsys, files):
         code, out = run(
             capsys, ["decompose", "proportional", files["g"], "1", "2", "1"]

@@ -88,6 +88,7 @@ def replay_and_validate(chain, f, g):
             rearrangements += 1
             current = el.apply(current)
     assert current == g
+    assert chain.replay(f) == g
     assert spreads <= len(f) - 1
     assert rearrangements <= 1
 

@@ -541,5 +541,13 @@ class TestShrinkCandidates:
     def test_toward_zero(self, v, scale):
         den = v.denominator * scale  # a payoff's denominator is a multiple of each value's
         got = [F(c, den) for c in _toward_zero(v.numerator * scale, den)]
-        want = toward_zero_oracle(v)
+        want = list(dict.fromkeys(toward_zero_oracle(v)))  # the oracle's candidates, each once
         assert got == want and all(type(c) is F for c in want)
+
+    def test_toward_zero_candidates_are_distinct_and_closer(self):
+        for den in range(1, 5):
+            for v in range(-7, 8):
+                got = _toward_zero(v, den)
+                assert len(set(got)) == len(got)
+                assert all(abs(c) < abs(v) for c in got)
+                assert got or v == 0

@@ -21,12 +21,12 @@ from riskprop import (
     mv_compare,
     rho,
 )
-from riskprop.preferences import _distortion_weights, _rho_eu
+from riskprop.preferences import _rho_eu
 from conftest import P, concave_utility, convex_distortion
 
 
-def square(p: F) -> F:
-    return p * p
+# p -> p^2 through its values at the grid points the tests use (n = 2 and 3)
+square = PiecewiseLinearFn(tuple((p, p * p) for p in (F(0), F(1, 3), F(1, 2), F(2, 3), F(1))))
 
 
 class TestPiecewiseLinearFn:
@@ -37,9 +37,11 @@ class TestPiecewiseLinearFn:
         assert u(F(3)) == F(3, 2)
 
     def test_inverse(self):
-        u = concave_utility()
+        """The certainty equivalent of a constant is that constant: it inverts ``u`` at ``u(x)``."""
+        m = expected_utility_model(concave_utility())
         for x in (F(-5), F(-1, 3), F(0), F(2, 3), F(4)):
-            assert u.inverse(u(x)) == x
+            for n in (1, 3):
+                assert certainty_equivalent(m, Payoff.constant(x, n)) == x
 
     def test_shape_predicates(self):
         assert concave_utility().is_concave()
@@ -81,13 +83,26 @@ class TestDualValue:
         assert dual_value(square, P(5, 5, 5)) == 5
 
     def test_invalid_distortion(self):
-        with pytest.raises(ValueError):
-            dual_value(lambda p: p / 2, P(0, 1))  # g(1) != 1
+        with pytest.raises(ValueError, match=r"g\(0\) = 0 and g\(1\) = 1"):
+            dual_value(PiecewiseLinearFn(((F(0), F(0)), (F(1), F(1, 2)))), P(0, 1))
+
+    def test_dual_model_checks_the_distortion(self):
+        with pytest.raises(ValueError, match=r"g\(0\) = 0 and g\(1\) = 1"):
+            dual_model(PiecewiseLinearFn(((F(0), F(0)), (F(1), F(1, 2)))))
+        with pytest.raises(ValueError, match=r"g\(0\) = 0 and g\(1\) = 1"):
+            dual_model(PiecewiseLinearFn(((F(0), F(1, 4)), (F(1), F(1)))))
+        with pytest.raises(TypeError, match="distortion must be a PiecewiseLinearFn, got function"):
+            dual_model(lambda p: p * p)
+        assert dual_model(square).distortion is square
 
 
 class TestMvCompare:
     def test_lower_variance_wins(self):
         assert mv_compare(P(1, 1), P(0, 2)) is Comparison.BETTER
+
+    def test_higher_variance_loses(self):
+        assert mv_compare(P(0, 2), P(1, 1)) is Comparison.WORSE
+        assert mv_compare(P(0, 1), P(1, 1)) is Comparison.WORSE
 
     def test_incomparable(self):
         assert mv_compare(P(0, 4), P(1, 1)) is Comparison.INCOMPARABLE
@@ -142,70 +157,6 @@ class TestRho:
         m = expected_value_model()
         with pytest.raises(ValueError):
             rho(m, P(0, 1), P(1,))
-
-
-def _models():
-    return [
-        expected_value_model(),
-        expected_utility_model(concave_utility()),
-        dual_model(convex_distortion()),
-    ]
-
-
-class TestModelLaws:
-    def test_law_invariance_of_value(self):
-        rng = random.Random(43)
-        for m in _models():
-            for _ in range(60):
-                n = rng.randint(1, 6)
-                f = Payoff(tuple(F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(n)))
-                perm = list(range(1, n + 1))
-                rng.shuffle(perm)
-                assert m.value(f) == m.value(f.permute(perm))
-
-    def test_law_invariance_of_rho(self):
-        rng = random.Random(44)
-        for m in _models():
-            for _ in range(40):
-                n = rng.randint(2, 5)
-                f = Payoff(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
-                g = Payoff(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
-                pf, pg = list(range(1, n + 1)), list(range(1, n + 1))
-                rng.shuffle(pf)
-                rng.shuffle(pg)
-                assert rho(m, g, f) == rho(m, g.permute(pg), f.permute(pf))
-
-    def test_sign_characterizes_preference(self):
-        rng = random.Random(45)
-        for m in _models():
-            for _ in range(60):
-                n = rng.randint(2, 5)
-                f = Payoff(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
-                g = Payoff(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
-                assert (m.value(f) >= m.value(g)) == (rho(m, g, f) >= 0)
-
-    def test_certainty_equivalent_is_negated_rho_against_zero(self):
-        rng = random.Random(46)
-        for m in _models():
-            for _ in range(40):
-                n = rng.randint(2, 5)
-                f = Payoff(tuple(F(rng.randint(-5, 5), rng.choice((1, 2))) for _ in range(n)))
-                zero = Payoff.constant(0, n)
-                assert certainty_equivalent(m, f) == -rho(m, f, zero)
-
-    def test_monotone_in_constant_additions(self):
-        for m in _models():
-            f = P(-1, 0, 2)
-            assert m.value(f + F(1, 2)) > m.value(f)
-
-    def test_concave_utility_jensen(self):
-        rng = random.Random(47)
-        u = concave_utility()
-        for _ in range(60):
-            n = rng.randint(1, 6)
-            f = Payoff(tuple(F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(n)))
-            const = Payoff.constant(expectation(f), n)
-            assert eu_value(u, const) >= eu_value(u, f)
 
 
 def _rho_eu_kink_scan(u: PiecewiseLinearFn, g: Payoff, f: Payoff) -> F:
@@ -356,16 +307,86 @@ def distortions(draw):
     return PiecewiseLinearFn(((F(0), F(0)),) + tuple(zip(inner, heights)) + ((F(1), F(1)),))
 
 
-def cube(p: F) -> F:
-    return p * p * p
-
-
-def float_square(p: F) -> float:
-    return float(p) ** 2
-
-
 def _same(got, want) -> bool:
     return got == want and type(got) is type(want)
+
+
+def _inverse_oracle(u: PiecewiseLinearFn, y: F) -> F:
+    """The deleted ``PiecewiseLinearFn.inverse``: the exact preimage of ``y`` under increasing ``u``."""
+    pts = u.breakpoints
+    idx = bisect.bisect_left([py for _, py in pts], y)
+    if idx == 0:
+        (x1, y1), s = pts[0], u.slopes[0]
+        return x1 + (y - y1) / s
+    if idx == len(pts):
+        (x2, y2), s = pts[-1], u.slopes[-1]
+        return x2 + (y - y2) / s
+    x2, y2 = pts[idx]
+    if y == y2:
+        return x2
+    x1, y1 = pts[idx - 1]
+    return x1 + (x2 - x1) * (y - y1) / (y2 - y1)
+
+
+def _models():
+    return [
+        expected_value_model(),
+        expected_utility_model(concave_utility()),
+        dual_model(convex_distortion()),
+    ]
+
+
+class TestModelLaws:
+    def test_law_invariance_of_value(self):
+        rng = random.Random(43)
+        for m in _models():
+            for _ in range(60):
+                n = rng.randint(1, 6)
+                f = Payoff(tuple(F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(n)))
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                assert m.value(f) == m.value(f.permute(perm))
+
+    def test_law_invariance_of_rho(self):
+        rng = random.Random(44)
+        for m in _models():
+            for _ in range(40):
+                n = rng.randint(2, 5)
+                f = Payoff(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
+                g = Payoff(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
+                pf, pg = list(range(1, n + 1)), list(range(1, n + 1))
+                rng.shuffle(pf)
+                rng.shuffle(pg)
+                assert rho(m, g, f) == rho(m, g.permute(pg), f.permute(pf))
+
+    def test_sign_characterizes_preference(self):
+        rng = random.Random(45)
+        for m in _models():
+            for _ in range(60):
+                n = rng.randint(2, 5)
+                f = Payoff(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
+                g = Payoff(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
+                assert (m.value(f) >= m.value(g)) == (rho(m, g, f) >= 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(increasing_utilities(), mixed_payoffs())
+    def test_certainty_equivalent_is_negated_rho_against_zero(self, u, f):
+        """For EU, ``-rho(m, f, 0)`` is the preimage of ``E[u(f)]`` that the deleted ``inverse`` found."""
+        assert _same(certainty_equivalent(expected_utility_model(u), f), _inverse_oracle(u, eu_value(u, f)))
+
+    def test_monotone_in_constant_additions(self):
+        for m in _models():
+            f = P(-1, 0, 2)
+            assert m.value(f + F(1, 2)) > m.value(f)
+
+    def test_concave_utility_jensen(self):
+        rng = random.Random(47)
+        u = concave_utility()
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            f = Payoff(tuple(F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(n)))
+            const = Payoff.constant(expectation(f), n)
+            assert eu_value(u, const) >= eu_value(u, f)
 
 
 class TestIntegerKernels:
@@ -398,46 +419,17 @@ class TestIntegerKernels:
     def test_dual_value_matches_oracle(self, g, f):
         assert _same(dual_value(g, f), _dual_oracle(g, f))
 
-    @settings(deadline=None)
-    @given(mixed_payoffs())
-    def test_dual_value_fraction_lambda(self, f):
-        assert _same(dual_value(cube, f), _dual_oracle(cube, f))
-        assert type(dual_value(cube, f)) is F
-
-    @settings(deadline=None)
-    @given(mixed_payoffs())
-    def test_dual_value_float_lambda(self, f):
-        with pytest.raises(TypeError, match="expected an exact rational .* got float 0.0"):
-            dual_value(float_square, f)
-
-    def test_dual_model_checks_a_callable_distortion(self):
-        with pytest.raises(TypeError, match="got float 0.0"):
-            dual_model(float_square)
-        with pytest.raises(ValueError, match=r"g\(0\) = 0 and g\(1\) = 1"):
-            dual_model(lambda p: p / 2)
-        assert dual_model(square).distortion is square
 
 
 class TestDistortionWeightCache:
-    """A ``PiecewiseLinearFn`` keeps its increments per ``n`` on the instance; callables use the lru_cache."""
+    """A ``PiecewiseLinearFn`` keeps its increments per ``n`` on the instance, with no shared cache."""
 
     def test_equal_distinct_distortions_skip_the_lru_cache(self):
         g1, g2 = convex_distortion(), convex_distortion()
-        before = _distortion_weights.cache_info()
         f = P(3, -1, 2)
         assert dual_value(g1, f) == dual_value(g2, f) == _dual_oracle(g1, f)
-        after = _distortion_weights.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
         assert set(g1._weights) == set(g2._weights) == {3}
-        assert g1 == g2 and hash(g1) == hash(g2) and repr(g1) == repr(g2)
-
-    def test_callables_still_use_the_lru_cache(self):
-        before = _distortion_weights.cache_info()
-        dual_value(square, P(0, 2))
-        dual_value(square, P(1, 3))
-        after = _distortion_weights.cache_info()
-        assert after.hits + after.misses == before.hits + before.misses + 2
-        assert after.hits >= before.hits + 1
+        assert g1 == g2 and hash(g1) == hash(g2) == hash((g1.breakpoints,)) and repr(g1) == repr(g2)
 
     @settings(max_examples=100, deadline=None)
     @given(distortions(), st.lists(mixed_payoffs(), min_size=1, max_size=6))
