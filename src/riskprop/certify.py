@@ -13,8 +13,9 @@ an instance stream and notes.  One driver, :func:`_search`, counts and
 tests the stream's trials in order, shrinks the first violation with the
 row's own predicate (drop states, then move values toward zero) and
 builds the report.  A public check validates its inputs, builds its row
-and calls the driver; :func:`replay_witness` rebuilds the row a report
-names and calls its predicate.  Every stream runs two phases:
+and calls the driver; :func:`replay_witness` rebuilds the row from the
+report's key, its Python-only ``head`` and ``kind`` fields (the JSON
+leaves them out), and calls its predicate.  Every stream runs two phases:
 
 * phase 1, structured sweeps over the budget's value grid: zero-mean
   splits for full-insurance style properties, single-spread triples for
@@ -148,6 +149,8 @@ class CertificateReport:
     budget: SearchBudget
     notes: tuple[str, ...] = ()
     details: Mapping[str, "CertificateReport"] = field(default_factory=dict)
+    head: str = ""  # the table row searched, and its propensity kind; not in the JSON
+    kind: Optional[str] = None
 
     @property
     def violated(self) -> bool:
@@ -386,7 +389,9 @@ class Property:
     relation: str
     violation: Predicate
     instances: Iterable[Trial]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+    head: str
+    kind: Optional[str]
 
 
 def _sweep_alternatives(
@@ -420,8 +425,7 @@ def _sweep_alternatives(
 
 def _search(prop: Property, budget: SearchBudget) -> CertificateReport:
     """Count and test the row's trials in order; shrink and report the first violation."""
-    violation = prop.violation
-    trials_run = 0
+    violation, trials_run, witness = prop.violation, 0, None
     for trial in prop.instances:
         trials_run += 1
         if isinstance(trial, _Sweep):
@@ -432,10 +436,11 @@ def _search(prop: Property, budget: SearchBudget) -> CertificateReport:
         if parts is not None:
             shrunk, (lhs, rhs) = _shrink(parts, violation)
             witness = Witness(prop.relation, shrunk, lhs, rhs)
-            return CertificateReport(
-                prop.name, VIOLATED, witness, trials_run, budget.seed, budget, prop.notes
-            )
-    return CertificateReport(prop.name, HOLDS, None, trials_run, budget.seed, budget, prop.notes)
+            break
+    return CertificateReport(
+        prop.name, VIOLATED if witness else HOLDS, witness, trials_run, budget.seed, budget,
+        prop.notes, head=prop.head, kind=prop.kind,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +710,7 @@ def _row(head: str, budget: SearchBudget, m, mB=None, pp=None, kind=None, sides=
     if sides is None:
         sides = _rho_sides(m, mB) if comparative else _value_sides(m)
     n_max = min(budget.exhaustive_n, 4) if capped else budget.exhaustive_n
-    return Property(name, relation, *build(sides, budget, n_max, kind, pp))
+    return Property(name, relation, *build(sides, budget, n_max, kind, pp), head, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -801,23 +806,21 @@ def replay_witness(
 
     Pass the same model(s) (and premium principle, for premium checks)
     that produced the report.  The witness goes through the predicate of
-    the table row named by the report; a neutrality report names the row
-    of its first violated entry in ``details``.
+    the table row keyed by the report's ``head`` and ``kind``; for a
+    neutrality report, by those of its first violated entry in ``details``.
     """
     if report.witness is None:
         raise ValueError("report has no witness")
     named = next((r for r in report.details.values() if r.violated), report)
-    head, _, rest = named.property.partition("[")
-    if head not in _ROWS:
+    if named.head not in _ROWS:
         raise ValueError(f"cannot replay property {report.property!r}")
     needs = (
         ("m", m, True),
-        ("mB", mB, head.startswith("compare_")),
-        ("pp", pp, head == "premium_propensity"),
+        ("mB", mB, named.head.startswith("compare_")),
+        ("pp", pp, named.head == "premium_propensity"),
     )
     for arg, value, needed in needs:
         if needed and value is None:
             raise ValueError(f"replaying {named.property!r} needs the argument {arg}")
-    kind = rest.split("]")[0] if head in ("propensity", "compare_propensity") else None
-    prop = _row(head, named.budget, m, mB, pp, kind)
+    prop = _row(named.head, named.budget, m, mB, pp, named.kind)
     return prop.violation(dict(report.witness.payoffs)) is not None

@@ -50,6 +50,8 @@ def _load_json(path: str) -> Any:
         raise S.InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise S.InputError(f"{path}: invalid JSON ({exc})")
+    except RecursionError:
+        raise S.InputError(f"{path}: invalid JSON (nested too deeply)")
 
 
 def _load_payoff(path: str) -> Payoff:
@@ -114,6 +116,21 @@ def _emit(obj: Any, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+# per command, each --property spelling: (the public check in certify, its propensity kind);
+# the check is looked up when it runs, so wrappers installed on certify see the call
+_CHECKS: dict[str, dict[str, tuple[str, Optional[str]]]] = {
+    "certify": dict(
+        weak_ra=("check_weak_risk_aversion", None), strong_ra=("check_strong_risk_aversion", None),
+        neutrality=("check_neutrality", None), premium_fi=("check_premium_propensity", None),
+        **{kind: ("check_propensity", kind) for kind in C.PROPENSITY_KINDS},
+    ),
+    "compare": dict(
+        weak=("compare_weak", None), strong=("compare_strong", None),
+        **{kind: ("compare_propensity", kind) for kind in C.PROPENSITY_KINDS},
+    ),
+}
+
+
 @lru_cache(maxsize=None)  # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="riskprop", description=__doc__)
@@ -159,16 +176,14 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--mv-compare", nargs=2, metavar=("F", "G"), dest="mv")
 
     p_cert = sub.add_parser("certify", help="certify a property of one model")
-    p_cert.add_argument("--property", required=True, choices=(
-        "weak_ra", "strong_ra", "neutrality", "premium_fi", *C.PROPENSITY_KINDS,
-    ))
+    p_cert.add_argument("--property", required=True, choices=tuple(_CHECKS["certify"]))
     p_cert.add_argument("--model", required=True)
     p_cert.add_argument("--principle", choices=("fair", "loading"), default="fair")
     p_cert.add_argument("--loading", default="1/5")
     _add_budget_args(p_cert)
 
     p_cmp = sub.add_parser("compare", help="comparative attitude of model B against model A")
-    p_cmp.add_argument("--property", required=True, choices=("weak", "strong", *C.PROPENSITY_KINDS))
+    p_cmp.add_argument("--property", required=True, choices=tuple(_CHECKS["compare"]))
     p_cmp.add_argument("--model-a", required=True, dest="model_a")
     p_cmp.add_argument("--model-b", required=True, dest="model_b")
     _add_budget_args(p_cmp)
@@ -228,36 +243,16 @@ def _run_preference(args: argparse.Namespace) -> tuple[Any, int]:
     return {"comparison": mv_compare(f, g).value}, EXIT_OK
 
 
-def _run_certify(args: argparse.Namespace) -> tuple[Any, int]:
-    m = _load_model(args.model)
+def _run_check(args: argparse.Namespace) -> tuple[Any, int]:
+    name, kind = _CHECKS[args.command][args.property]
+    paths = (args.model,) if args.command == "certify" else (args.model_a, args.model_b)
+    call = [kind] if kind else []
+    call += [_load_model(path) for path in paths]
     budget = _budget_from_args(args)
-    if args.property == "weak_ra":
-        report = C.check_weak_risk_aversion(m, budget)
-    elif args.property == "strong_ra":
-        report = C.check_strong_risk_aversion(m, budget)
-    elif args.property == "neutrality":
-        report = C.check_neutrality(m, budget)
-    elif args.property == "premium_fi":
-        pp = (
-            fair_principle()
-            if args.principle == "fair"
-            else loading_principle(S.parse_rational(args.loading, "--loading"))
-        )
-        report = C.check_premium_propensity(m, pp, budget)
-    else:
-        report = C.check_propensity(args.property, m, budget)
-    return S.report_to_obj(report), (EXIT_VIOLATED if report.violated else EXIT_OK)
-
-
-def _run_compare(args: argparse.Namespace) -> tuple[Any, int]:
-    mA, mB = _load_model(args.model_a), _load_model(args.model_b)
-    budget = _budget_from_args(args)
-    if args.property == "weak":
-        report = C.compare_weak(mA, mB, budget)
-    elif args.property == "strong":
-        report = C.compare_strong(mA, mB, budget)
-    else:
-        report = C.compare_propensity(args.property, mA, mB, budget)
+    if name == "check_premium_propensity":
+        rate = None if args.principle == "fair" else S.parse_rational(args.loading, "--loading")
+        call.append(fair_principle() if rate is None else loading_principle(rate))
+    report = getattr(C, name)(*call, budget)
     return S.report_to_obj(report), (EXIT_VIOLATED if report.violated else EXIT_OK)
 
 
@@ -267,8 +262,8 @@ _RUNNERS = {
     "decompose": _run_decompose,
     "hedge": _run_hedge,
     "preference": _run_preference,
-    "certify": _run_certify,
-    "compare": _run_compare,
+    "certify": _run_check,
+    "compare": _run_check,
 }
 
 

@@ -459,6 +459,38 @@ class TestReplayEnforcesStructure:
         assert not replay_witness(replace(r, witness=replace(r.witness, payoffs=flat)), m)
 
 
+class TestReplayReadsTheKey:
+    """Replay rebuilds the row from the report's ``head`` and ``kind``, never from its name,
+    so model and principle names that hold brackets replay like any other."""
+
+    A = replace(ZOO["dual_nonconvex"], name="a]b[c")
+    X = replace(ZOO["dual_convex"], name="x[y]")
+
+    @staticmethod
+    def _replays_without_its_name(r, *models, **kwargs):
+        assert r.verdict == VIOLATED
+        assert replay_witness(r, *models, **kwargs)
+        assert replay_witness(replace(r, property=""), *models, **kwargs)
+
+    def test_single_model_propensity(self):
+        r = check_propensity("pr", self.A, BUDGET)
+        assert (r.property, r.head, r.kind) == ("propensity[pr][a]b[c]", "propensity", "pr")
+        self._replays_without_its_name(r, self.A)
+
+    def test_compare_propensity(self):
+        r = compare_propensity("pr", self.X, self.A, BUDGET)
+        assert r.property == "compare_propensity[pr][x[y] vs a]b[c]"
+        assert (r.head, r.kind) == ("compare_propensity", "pr")
+        self._replays_without_its_name(r, self.X, mB=self.A)
+
+    def test_premium_propensity_under_a_loading(self):
+        m, pp = replace(ZOO["eu_convex_kink"], name="a]b[c"), loading_principle(F(1, 5))
+        r = check_premium_propensity(m, pp, BUDGET)
+        assert r.property == "premium_propensity[loading[1/5]][a]b[c]"
+        assert (r.head, r.kind) == ("premium_propensity", None)
+        self._replays_without_its_name(r, m, pp=pp)
+
+
 FRACTIONAL_GRID = (F(-3, 2), F(-1, 3), F(0), F(1, 2), F(2))
 GRIDS = {"default": SearchBudget().value_grid, "fractional": FRACTIONAL_GRID}
 

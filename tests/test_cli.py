@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskprop import (
     SearchBudget,
@@ -399,6 +403,15 @@ class TestInputHandling:
         assert f"{files['dir']}: cannot read" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("opener", ["[", '{"a": '], ids=["array", "object"])
+    def test_deeply_nested_json(self, files, capsys, opener):
+        path = files["dir"] / "deep.json"
+        path.write_text(opener * 100_000)
+        assert main(["order", str(path), files["f"]]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: invalid JSON (nested too deeply)" in err
+        assert "Traceback" not in err
+
     def test_out_into_missing_directory(self, files, tmp_path, capsys):
         target = tmp_path / "missing" / "result.json"
         assert main(["--out", str(target), "order", "--cv", files["f"], files["g"]]) == 2
@@ -628,3 +641,140 @@ class TestPropertyDispatch:
         argv = ["compare", "--property", prop,
                 "--model-a", model_files[pair[0]], "--model-b", model_files[pair[1]]]
         self._matches(capsys, argv, report)
+
+
+PROPERTY_CHOICES = {
+    "certify": ["weak_ra", "strong_ra", "neutrality", "premium_fi", "fi", "pr", "dl", "is", "cs", "hedging"],
+    "compare": ["weak", "strong", "fi", "pr", "dl", "is", "cs", "hedging"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PROPERTY_CHOICES))
+def test_property_choices_in_help_order(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = re.search(r"--property \{([^}]*)\}", capsys.readouterr().out)
+    assert listed[1].split(",") == PROPERTY_CHOICES[command]
+
+
+# fuzzed command lines
+
+FUZZ_PAYOFFS = {
+    "p2": {"n": 2, "values": ["1", "-1"]},
+    "p3": {"n": 3, "values": ["0", "1/2", "-2"]},
+    "p3b": {"values": [1, 0, 0]},
+    "huge": {"n": 2, "values": ["1e4299", "-1"]},
+}
+FUZZ_MODELS = {
+    "ev": {"type": "ev"},
+    "mv": {"type": "mv", "name": "x[y]"},
+    "eu": {"type": "eu", "name": "a]b[c", "fn": {"breakpoints": [["-1", "-1"], ["0", "0"], ["1", "1/2"]]}},
+    "dual": {"type": "dual", "fn": {"breakpoints": [["0", "0"], ["1/2", "1/4"], ["1", "1"]]}},
+}
+FUZZ_BAD = {  # file name -> raw content
+    "deep_array.json": b"[" * 100_000,
+    "deep_object.json": b'{"a": ' * 100_000,
+    "deep_values.json": b'{"n": 2, "values": ' + b"[" * 900 + b"]" * 900 + b"}",
+    "deep_fn.json": b'{"type": "eu", "fn": {"breakpoints": ' + b"[" * 900 + b"]" * 900 + b"}}",
+    "truncated.json": b'{"n": 2, "values": ["1"',
+    "latin1.json": b'{"n": 2, "values": ["\xe9", "1"]}',
+    "empty.json": b"",
+}
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from(["1", "-1", "1/2", "0", "2", "x", "", "1e5", "eu", "dual", "ev", "mv"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.sampled_from(["n", "values", "type", "name", "fn", "breakpoints"]), kids,
+                        max_size=4),
+    ),
+    max_leaves=10,
+)
+FUZZ_BUDGET = ["--max-n", "3", "--exhaustive-n", "2", "--trials", "5"]
+BUDGET_OVERRIDES = {
+    "--seed": ["1", "-7", "x"],
+    "--grid": ["-1,0,1", "1/2", "", "a,b"],
+    "--trials": ["0", "-1"],
+    "--max-n": ["1", "2", "13"],
+    "--exhaustive-n": ["0", "3", "8"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, content in FUZZ_BAD.items():
+        (root / name).write_bytes(content)
+    for name, obj in {**FUZZ_PAYOFFS, **FUZZ_MODELS}.items():
+        (root / f"{name}.json").write_text(json.dumps(obj))
+    return {
+        "payoff": [str(root / f"{name}.json") for name in FUZZ_PAYOFFS],
+        "model": [str(root / f"{name}.json") for name in FUZZ_MODELS],
+        "bad": [str(root / name) for name in [*FUZZ_BAD, "gen.json", "missing.json"]] + [str(root)],
+        "gen": root / "gen.json",
+        "out": [str(root / "out.json"), str(root / "missing" / "out.json")],
+    }
+
+
+@st.composite
+def fuzz_argv(draw, paths):
+    """A command line of a real subcommand with its real flags, over the files in ``paths``:
+    each input file is well formed five times in six, else malformed or generated."""
+    pick = lambda *options: draw(st.sampled_from(options))
+    well_formed = lambda: draw(st.integers(0, 5)) > 0
+    payoff = lambda: pick(*paths["payoff"]) if well_formed() else pick(*paths["bad"])
+    model = lambda: pick(*paths["model"]) if well_formed() else pick(*paths["bad"])
+    command = pick("order", "classify", "decompose", "hedge", "preference", "certify", "compare")
+    argv = ["--out", pick(*paths["out"])] if draw(st.booleans()) else []
+    argv.append(command)
+    if command == "order":
+        argv += draw(st.lists(st.sampled_from(["--cv", "--fsd", "--mps"]), max_size=2)) + [payoff(), payoff()]
+    elif command in ("classify", "hedge"):
+        argv += [payoff() for _ in range(2 if command == "classify" else 3)]
+    elif command == "decompose":
+        mode = pick("split", "chain", "proportional", "deductible")
+        argv += [mode, payoff()]
+        if mode == "chain":
+            argv.append(payoff())
+        elif mode != "split":
+            argv += [pick("1", "2", "0", "9", "x"), pick("1", "3", "-1"), pick("1", "1/2", "-1", "x")]
+    elif command == "preference":
+        argv += [model(), *pick(["--value", payoff()], ["--ce", payoff()], ["--rho", payoff(), payoff()],
+                                ["--mv-compare", payoff(), payoff()])]
+    else:
+        argv += ["--property", pick(*PROPERTY_CHOICES[command], "bogus")]
+        if command == "certify":
+            argv += ["--model", model()]
+            if draw(st.booleans()):
+                argv += ["--principle", pick("fair", "loading", "x"), "--loading", pick("1/5", "0", "-1", "x")]
+        else:
+            argv += ["--model-a", model(), "--model-b", model()]
+        argv += FUZZ_BUDGET
+        for flag in draw(st.lists(st.sampled_from(sorted(BUDGET_OVERRIDES)), max_size=2, unique=True)):
+            argv += [flag, pick(*BUDGET_OVERRIDES[flag])]
+    if draw(st.integers(0, 9)) == 0:  # an argument argparse rejects, or a help request
+        argv.insert(draw(st.integers(0, len(argv))), pick("--bogus", "-h", "extra"))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    gen=st.one_of(JSON_VALUES.map(lambda v: json.dumps(v).encode()), st.sampled_from(sorted(FUZZ_BAD.values()))),
+)
+def test_fuzzed_command_line_exits_cleanly(fuzz_files, data, gen):
+    """Exit 0, 2 or 3, never a traceback; ``gen.json`` holds a generated JSON text."""
+    fuzz_files["gen"].write_bytes(gen)
+    argv = data.draw(fuzz_argv(fuzz_files))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

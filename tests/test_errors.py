@@ -36,7 +36,7 @@ def _holding_report():
 def _renamed_violation():
     report = check_weak_risk_aversion(ZOO["eu_convex_kink"], SMALL)
     assert report.violated
-    return replace(report, property="no_such_property")
+    return replace(report, property="no_such_property", head="no_such_property")
 
 
 CASES = {

@@ -69,9 +69,10 @@ def test_traced_run_counts_the_model_kernels(tmp_path):
     """A traced CLI run counts calls in every preference kernel the benchmark reports.
 
     A refactor that stops calling a traced name through its module global (a
-    dispatch table bound at import, say) would make its counters read 0.
-    Comparing two EU models reaches ``_rho_eu`` but not ``eu_value``, so the
-    run also certifies on an EU model.
+    dispatch table bound at import, say) would make its counters read 0, so
+    the run also counts the CLI's calls of the public checks.  Comparing two
+    EU models reaches ``_rho_eu`` but not ``eu_value``, so the run also
+    certifies on an EU model.
     """
     zoo = build_zoo()
     paths = []
@@ -90,3 +91,5 @@ def test_traced_run_counts_the_model_kernels(tmp_path):
     assert out["codes"] == [0, 0, 0]
     for name in ("eu_value", "_rho_eu", "dual_value", "PreferenceModel.value"):
         assert out["totals"][f"preferences.{name}.calls"] > 0, name
+    for name in ("check_propensity", "compare_propensity"):
+        assert out["totals"][f"certify.{name}.calls"] > 0, name
