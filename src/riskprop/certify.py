@@ -9,13 +9,16 @@ echoed in the report.
 Each property is one row of a table (``_ROWS``, built into a
 :class:`Property`): its report name, the relation its witness violates,
 an exact violation predicate over the named parts ``f``, ``g``, ``w``,
-an instance stream and notes.  One driver, :func:`_search`, counts and
-tests the stream's trials in order, shrinks the first violation with the
-row's own predicate (drop states, then move values toward zero) and
-builds the report.  A public check validates its inputs, builds its row
-and calls the driver; :func:`replay_witness` rebuilds the row from the
-report's key, its Python-only ``head`` and ``kind`` fields (the JSON
-leaves them out), and calls its predicate.  Every stream runs two phases:
+an instance stream and notes.  A stream yields one item per trial: the
+parts to test, or None for a trial with nothing left to test.  One driver,
+:func:`_search`, counts the trials, tests each one that has parts in
+order, shrinks the first violation with the row's own predicate (drop
+states, then move values toward zero) and builds the report.  The premium
+check is the fi row at the principle's price.  A public check validates
+its inputs, builds its row and calls the driver; :func:`replay_witness`
+rebuilds the row from the report's key, its Python-only ``head`` and
+``kind`` fields (the JSON leaves them out), and calls its predicate.
+Every stream runs two phases:
 
 * phase 1, structured sweeps over the budget's value grid: zero-mean
   splits for full-insurance style properties, single-spread triples for
@@ -28,12 +31,14 @@ leaves them out), and calls its predicate.  Every stream runs two phases:
   so reports are reproducible.  Propensity-style checks sweep every
   distinct rearrangement of the alternative payoff when
   ``n <= exhaustive_n`` (deduplicated by the law of ``w + g``) and a
-  random sample of them otherwise.
+  random sample of them otherwise.  A sweep is one trial: the parts of
+  its first violation, or None.
 
 Four devices change cost, never results.  The insurance propensity
 predicates test equal distributions of ``f`` and ``g``, then the strict
-value gap, then the structure (``f`` a contract of the kind on ``w``, or
-for hedging a better hedge than ``g``).  Phase 1 knows each split or
+value gap, then the structure (``f`` a contract of the kind on ``w``, for
+hedging a better hedge than ``g``, for the premium check the full
+insurance of ``w`` at the principle's price).  Phase 1 knows each split or
 spread instance's sums before its parts (``(E[h], h)`` for the split of
 a grid payoff ``h``; ``(f0, g0)`` for a spread pair, cached with its
 spread ``g0 = step.apply(f0)``), so it splits ``h`` or factors the pair
@@ -54,7 +59,7 @@ from functools import lru_cache, partial
 from itertools import combinations_with_replacement, permutations
 from math import lcm
 from operator import lt, ne
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .decompose import deductible_triple, proportional_triple, split_zero_mean
 from .insurance import PremiumPrinciple, is_member, make_contract
@@ -162,8 +167,10 @@ CONTINUITY_NOTE = (
 )
 
 
-# a violation predicate: the violated (lhs, rhs) pair, or None; search, shrinking and
-# replay call it on the parts alone, and alternative sweeps also pass the prebuilt sums
+# the named parts of an instance, and a violation predicate: the violated (lhs, rhs) pair,
+# or None; search, shrinking and replay call it on the parts alone, and alternative sweeps
+# also pass the prebuilt sums
+Parts = dict[str, Payoff]
 Sums = tuple[Payoff, Payoff]
 Predicate = Callable[..., Optional[tuple]]
 Sides = Callable[[Payoff, Payoff], tuple]
@@ -230,11 +237,6 @@ def _rho_sides(mA: PreferenceModel, mB: PreferenceModel) -> Sides:
     return lambda f, g: both(g, f)
 
 
-def _if_less(sides: tuple) -> Optional[tuple]:
-    """The ``(lhs, rhs)`` pair when ``lhs < rhs`` strictly, else None."""
-    return sides if sides[0] < sides[1] else None
-
-
 # ---------------------------------------------------------------------------
 # phase-1 instance grids (model independent, cached across checks)
 
@@ -248,7 +250,7 @@ def _grid_distributions(grid: tuple[Fraction, ...], n: int) -> tuple[Payoff, ...
     )
 
 
-def _split(h: Payoff, pp: Optional[PremiumPrinciple] = None) -> dict[str, Payoff]:
+def _split(h: Payoff, pp: Optional[PremiumPrinciple] = None) -> Parts:
     """``(w, f, g)`` with ``w + f = E[h]``, ``w + g = h``, f a full insurance for w and g =d f;
     with ``pp``, ``w`` is shifted by the constant that makes ``pp`` price f's loss."""
     mean = expectation(h)
@@ -258,7 +260,9 @@ def _split(h: Payoff, pp: Optional[PremiumPrinciple] = None) -> dict[str, Payoff
     return {"w": w, "f": -w + mean, "g": h - w}
 
 
-def _split_hits(gap, sides: Sides, budget: SearchBudget, n_max: int, pp=None) -> Iterator[Trial]:
+def _split_hits(
+    gap, sides: Sides, budget: SearchBudget, n_max: int, pp=None
+) -> Iterator[Optional[Parts]]:
     """Per grid payoff ``h`` of 2 to ``n_max`` states: its split if ``gap(*sides(E[h], h))``,
     else None."""
     for n in range(2, n_max + 1):
@@ -266,7 +270,7 @@ def _split_hits(gap, sides: Sides, budget: SearchBudget, n_max: int, pp=None) ->
             yield _split(h, pp) if gap(*sides(Payoff.constant(expectation(h), n), h)) else None
 
 
-def _factor(source: str, f0: Payoff, step: MpsStep) -> dict[str, Payoff]:
+def _factor(source: str, f0: Payoff, step: MpsStep) -> Parts:
     """``(w, f, g)`` of the pr or dl triple that factors the spread ``step`` of ``f0``."""
     t = (proportional_triple if source == "pr" else deductible_triple)(f0, step)
     return {"w": t.w_tilde, "f": t.f_tilde, "g": t.g_tilde}
@@ -319,7 +323,7 @@ def _toward_zero(v: int, den: int) -> list[int]:
     return out
 
 
-def _shrink_candidates(current: dict[str, Payoff]) -> Iterator[Optional[dict[str, Payoff]]]:
+def _shrink_candidates(current: Parts) -> Iterator[Optional[Parts]]:
     """Every state dropped (above two states), then each value moved toward zero, key by key;
     a None after each value marks where the shrinker checks its budget."""
     n = len(next(iter(current.values())))
@@ -336,7 +340,7 @@ def _shrink_candidates(current: dict[str, Payoff]) -> Iterator[Optional[dict[str
             yield None
 
 
-def _shrink(payoffs: dict[str, Payoff], predicate: Predicate) -> tuple[dict[str, Payoff], tuple]:
+def _shrink(payoffs: Parts, predicate: Predicate) -> tuple[Parts, tuple]:
     """Greedy witness minimization; the predicate re-verifies the full violation.
 
     The first violating candidate replaces the witness and the candidates start over.
@@ -365,18 +369,6 @@ def _shrink(payoffs: dict[str, Payoff], predicate: Predicate) -> tuple[dict[str,
 # the property table and the search driver
 
 
-class _Sweep(NamedTuple):
-    """One trial that tests ``(w, f, g)`` for each alternative ``g``."""
-
-    w: Payoff
-    f: Payoff
-    alternatives: list[tuple[int, ...]]  # rearrangements of f, as numerators over f.den
-
-
-# one trial of an instance stream: None (an instance with nothing to test), the parts or a _Sweep
-Trial = Union[None, dict, _Sweep]
-
-
 @dataclass(frozen=True)
 class Property:
     """One row of the property table.
@@ -388,7 +380,7 @@ class Property:
     name: str
     relation: str
     violation: Predicate
-    instances: Iterable[Trial]
+    instances: Iterable[Optional[Parts]]
     notes: tuple[str, ...]
     head: str
     kind: Optional[str]
@@ -424,16 +416,12 @@ def _sweep_alternatives(
 
 
 def _search(prop: Property, budget: SearchBudget) -> CertificateReport:
-    """Count and test the row's trials in order; shrink and report the first violation."""
+    """Count the row's trials in order, test each one that has parts, and shrink and report
+    the first violation."""
     violation, trials_run, witness = prop.violation, 0, None
-    for trial in prop.instances:
+    for parts in prop.instances:
         trials_run += 1
-        if isinstance(trial, _Sweep):
-            hit = _sweep_alternatives(trial.w, trial.f, trial.alternatives, violation)
-            parts = hit and {"w": trial.w, "f": trial.f, "g": hit[0]}
-        else:
-            parts = trial if trial is not None and violation(trial) is not None else None
-        if parts is not None:
+        if parts is not None and violation(parts) is not None:
             shrunk, (lhs, rhs) = _shrink(parts, violation)
             witness = Witness(prop.relation, shrunk, lhs, rhs)
             break
@@ -471,12 +459,14 @@ def _kind_member(kind: str, f: Payoff, w: Payoff) -> bool:
 
 
 def _random_instance(
-    kind: str, rng: random.Random, budget: SearchBudget, n: int
+    kind: str, rng: random.Random, budget: SearchBudget, n: int,
+    pp: Optional[PremiumPrinciple] = None,
 ) -> tuple[Payoff, Payoff]:
-    """A random (w, contract payoff) pair of a kind in ``PROPENSITY_KINDS``."""
+    """A random (w, contract payoff) pair of a kind in ``PROPENSITY_KINDS``; with ``pp``, the
+    premium is ``pp``'s price of the loss ``-w`` and draws no random number."""
     grid = budget.value_grid
     w = _random_payoff(rng, grid, n)
-    pi = rng.choice(_PREMIUMS)
+    pi = pp.base(-w) if pp else rng.choice(_PREMIUMS)
     if kind == "fi":
         return w, make_contract(w, "fi", premium=pi).payoff
     if kind == "pr":
@@ -494,23 +484,6 @@ def _random_instance(
     order = sorted(range(n), key=lambda i: (w.nums[i], i))
     drawn = dict(zip(order, draws))  # the larger draws where w is smaller
     return w, Payoff(tuple(drawn[i] for i in range(n)))
-
-
-def _random_trial(kind: str, rng: random.Random, budget: SearchBudget, n: int) -> Trial:
-    """An insurance row's random trial: for a kind other than fi, a third of the time, a random
-    spread's triple (None on a flat payoff), else a contract swept against its rearrangements."""
-    if kind != "fi" and rng.random() < 0.34:
-        f0 = _random_payoff(rng, budget.value_grid, n)
-        states = [(s1, s2) for s1 in range(1, n + 1) for s2 in range(1, n + 1) if s1 != s2]
-        rng.shuffle(states)
-        pinch = next(((a, b) for a, b in states if f0.nums[a - 1] < f0.nums[b - 1]), None)
-        if pinch is None:
-            return None
-        step = MpsStep(*pinch, rng.choice(_DELTAS))
-        source = kind if kind in ("pr", "dl") else ("pr" if rng.random() < 0.5 else "dl")
-        return _factor(source, f0, step)
-    w, f = _random_instance(kind, rng, budget, n)
-    return _Sweep(w, f, _alternatives(rng, f, budget))
 
 
 # the structures of the neutrality pairs (w, f, g)
@@ -540,12 +513,12 @@ def _independent(rng: random.Random, budget: SearchBudget, n: int) -> tuple[Payo
 def _expectation_row(key, test, offset, sides, budget, n_max, kind, pp):
     """``test(*sides(E[x], x))``: grid distributions, then random payoffs."""
 
-    def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
+    def violation(parts: Parts) -> Optional[tuple]:
         x = parts[key]
         lhs, rhs = sides(Payoff.constant(expectation(x), len(x)), x)
         return (lhs, rhs) if test(lhs, rhs) else None
 
-    def trials() -> Iterator[Trial]:
+    def trials() -> Iterator[Optional[Parts]]:
         for n in range(2, n_max + 1):
             yield from ({key: x} for x in _grid_distributions(budget.value_grid, n))
         for rng, n in _random_trials(budget, offset):
@@ -557,11 +530,14 @@ def _expectation_row(key, test, offset, sides, budget, n_max, kind, pp):
 def _spread_row(sides, budget, n_max, kind, pp):
     """``f >=cv g`` with ``sides(f, g)`` increasing: spread pairs, then random spread chains."""
 
-    def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
+    def violation(parts: Parts) -> Optional[tuple]:
         f, g = parts["f"], parts["g"]
-        return _if_less(sides(f, g)) if concave_order(f, g) else None
+        if not concave_order(f, g):
+            return None
+        lhs, rhs = sides(f, g)
+        return (lhs, rhs) if lhs < rhs else None
 
-    def trials() -> Iterator[Trial]:
+    def trials() -> Iterator[Optional[Parts]]:
         for f, _, g in _spread_pairs(budget.value_grid, False):
             yield {"f": f, "g": g}
         for rng, n in _random_trials(budget):
@@ -572,68 +548,66 @@ def _spread_row(sides, budget, n_max, kind, pp):
 
 
 def _insurance_row(sides, budget, n_max, kind, pp):
-    """A contract ``f`` of the kind on ``w`` and ``g =d f`` with ``sides(w+f, w+g)`` increasing.
+    """A contract ``f`` of the kind on ``w`` and ``g =d f`` with ``sides(w+f, w+g)`` increasing;
+    with ``pp``, the premium check: ``f`` the full insurance of ``w`` at ``pp``'s price.
 
-    Conjunct order and the lazy factoring of phase 1 are in the module docstring.
+    Conjunct order and the lazy factoring of phase 1 are in the module docstring.  A trial
+    is the parts or None: a random spread's triple (for a kind other than fi, a third of
+    the time), or the parts of a rearrangement sweep's first violation.
     """
+    kind = "fi" if pp else kind  # the premium check has no kind of its own
 
-    def violation(parts: dict[str, Payoff], sums: Optional[Sums] = None) -> Optional[tuple]:
+    def violation(parts: Parts, sums: Optional[Sums] = None) -> Optional[tuple]:
         w, f, g = parts["w"], parts["f"], parts["g"]
         if not equal_in_distribution(f, g):
             return None
         lhs, rhs = sides(*(sums or (w + f, w + g)))
         if not lhs < rhs:
             return None
+        if pp is not None:
+            return (lhs, rhs) if f == -w - pp.base(-w) else None
         if kind == "hedging":
             return (lhs, rhs) if better_hedge(f, g, w) else None
         return (lhs, rhs) if _kind_member(kind, f, w) else None
 
-    def trials() -> Iterator[Trial]:
+    def trials() -> Iterator[Optional[Parts]]:
         if kind == "fi":
-            yield from _split_hits(lt, sides, budget, n_max)
+            yield from _split_hits(lt, sides, budget, n_max, pp)
         else:
             for source in (kind,) if kind in ("pr", "dl") else ("pr", "dl"):
                 for f0, step, g0 in _spread_pairs(budget.value_grid, source == "pr"):
                     yield _factor(source, f0, step) if lt(*sides(f0, g0)) else None
         for rng, n in _random_trials(budget):
-            trial = _random_trial(kind, rng, budget, n)
-            if trial is not None:  # a flat spread draw is no trial
-                yield trial
+            if kind != "fi" and rng.random() < 0.34:
+                f0 = _random_payoff(rng, budget.value_grid, n)
+                states = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+                rng.shuffle(states)
+                pinch = next(((a, b) for a, b in states if f0.nums[a - 1] < f0.nums[b - 1]), None)
+                if pinch is None:  # a flat spread draw is no trial
+                    continue
+                step = MpsStep(*pinch, rng.choice(_DELTAS))
+                source = kind if kind in ("pr", "dl") else ("pr" if rng.random() < 0.5 else "dl")
+                yield _factor(source, f0, step)
+                continue
+            w, f = _random_instance(kind, rng, budget, n, pp)
+            hit = _sweep_alternatives(w, f, _alternatives(rng, f, budget), violation)
+            yield hit and {"w": w, "f": f, "g": hit[0]}
 
     return violation, trials(), () if kind == "fi" else (CONTINUITY_NOTE,)
-
-
-def _premium_row(sides, budget, n_max, kind, pp):
-    """A full insurance priced by ``pp`` with ``sides(w+f, w+g)`` increasing for some ``g =d f``."""
-
-    def violation(parts: dict[str, Payoff], sums: Optional[Sums] = None) -> Optional[tuple]:
-        w, f, g = parts["w"], parts["f"], parts["g"]
-        if f != -w - pp.base(-w) or not equal_in_distribution(f, g):
-            return None
-        return _if_less(sides(*(sums or (w + f, w + g))))
-
-    def trials() -> Iterator[Trial]:
-        yield from _split_hits(lt, sides, budget, n_max, pp)
-        for rng, n in _random_trials(budget):
-            w = _random_payoff(rng, budget.value_grid, n)
-            f = -w - pp.base(-w)
-            yield _Sweep(w, f, _alternatives(rng, f, budget))
-
-    return violation, trials(), ()
 
 
 def _pair_row(structure, offset, draw, splits, sides, budget, n_max, kind, pp):
     """``structure(w, f, g)`` with ``V(w+f) != V(w+g)``: the splits if ``splits``, then per random
     trial ``(w, f) = draw(rng, budget, n)`` against six rearrangements of ``f``, one trial each."""
 
-    def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
+    def violation(parts: Parts) -> Optional[tuple]:
         w, f, g = parts["w"], parts["f"], parts["g"]
         if not structure(w, f, g):
             return None
         lhs, rhs = sides(w + f, w + g)
         return (lhs, rhs) if lhs != rhs else None
 
-    def trials() -> Iterator[Trial]:
+    def trials() -> Iterator[Optional[Parts]]:
         yield from _split_hits(ne, sides, budget, n_max) if splits else ()
         for rng, n in _random_trials(budget, offset):
             w, f = draw(rng, budget, n)
@@ -646,12 +620,12 @@ def _pair_row(structure, offset, draw, splits, sides, budget, n_max, kind, pp):
 def _ev_row(sides, budget, n_max, kind, pp):
     """``(V(f) >= V(g))`` against ``(E[f] >= E[g])`` for two random payoffs per trial."""
 
-    def violation(parts: dict[str, Payoff]) -> Optional[tuple]:
+    def violation(parts: Parts) -> Optional[tuple]:
         f, g = parts["f"], parts["g"]
         lhs, rhs = sides(f, g)
         return (lhs, rhs) if (lhs >= rhs) != (expectation(f) >= expectation(g)) else None
 
-    def trials() -> Iterator[Trial]:
+    def trials() -> Iterator[Optional[Parts]]:
         for rng, n in _random_trials(budget, 50_000):
             f, g = _independent(rng, budget, n)
             yield {"f": f, "g": g}
@@ -666,7 +640,7 @@ _ROWS: dict[str, tuple[Callable[..., tuple], str, bool]] = {
     ),
     "strong_risk_aversion": (_spread_row, "V(f) < V(g) with f >=cv g", False),
     "propensity": (_insurance_row, "V(w+f) < V(w+g)", False),
-    "premium_propensity": (_premium_row, "V(w+f) < V(w+g)", False),
+    "premium_propensity": (_insurance_row, "V(w+f) < V(w+g)", False),
     "risk_neutrality": (
         partial(_expectation_row, "f", ne, 10_000), "V(E[f]) != V(f)", True
     ),

@@ -67,7 +67,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise S.InputError(f"RISKPROP_SEED: expected an integer, got {raw!r}")
+        raise S.InputError(f"RISKPROP_SEED: expected an integer, got {S.quote(raw)}")
 
 
 def _budget_from_args(args: argparse.Namespace) -> C.SearchBudget:
@@ -178,8 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certify a property of one model")
     p_cert.add_argument("--property", required=True, choices=tuple(_CHECKS["certify"]))
     p_cert.add_argument("--model", required=True)
-    p_cert.add_argument("--principle", choices=("fair", "loading"), default="fair")
-    p_cert.add_argument("--loading", default="1/5")
+    p_cert.add_argument("--principle", choices=("fair", "loading"), help="premium_fi; default fair")
+    p_cert.add_argument("--loading", help="with --principle loading; default 1/5")
     _add_budget_args(p_cert)
 
     p_cmp = sub.add_parser("compare", help="comparative attitude of model B against model A")
@@ -245,13 +245,25 @@ def _run_preference(args: argparse.Namespace) -> tuple[Any, int]:
 
 def _run_check(args: argparse.Namespace) -> tuple[Any, int]:
     name, kind = _CHECKS[args.command][args.property]
+    premium = name == "check_premium_propensity"
+    principle, loading = getattr(args, "principle", None), getattr(args, "loading", None)
+    for flag, value in (("--principle", principle), ("--loading", loading)):
+        if value is not None and not premium:
+            raise S.InputError(f"{flag}: applies only to --property premium_fi")
+    if loading is not None and principle != "loading":
+        raise S.InputError("--loading: applies only with --principle loading")
     paths = (args.model,) if args.command == "certify" else (args.model_a, args.model_b)
     call = [kind] if kind else []
     call += [_load_model(path) for path in paths]
     budget = _budget_from_args(args)
-    if name == "check_premium_propensity":
-        rate = None if args.principle == "fair" else S.parse_rational(args.loading, "--loading")
-        call.append(fair_principle() if rate is None else loading_principle(rate))
+    if principle == "loading":
+        rate = S.parse_rational("1/5" if loading is None else loading, "--loading")
+        try:
+            call.append(loading_principle(rate))
+        except ValueError as exc:
+            raise S.InputError(f"--loading: {exc}")
+    elif premium:
+        call.append(fair_principle())
     report = getattr(C, name)(*call, budget)
     return S.report_to_obj(report), (EXIT_VIOLATED if report.violated else EXIT_OK)
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,34 @@ def build_zoo() -> dict:
         ),
         "expected_value": expected_value_model(),
     }
+
+
+def random_pl_models(seed: int, count: int) -> list:
+    """``count`` random piecewise-linear models, EU and dual in turn, drawn from ``seed``.
+
+    EU: 3 to 5 breakpoints at distinct integers in -4..6, each slope ``k/j``
+    with ``k`` in 1..6 and ``j`` in 1..3.  Dual: 1 to 4 interior kinks at
+    multiples of 1/12, integer increments 0..5 normalised to ``g(1) = 1``.
+    """
+    rng = random.Random(seed)
+    models = []
+    while len(models) < count:
+        i = len(models)
+        if i % 2 == 0:
+            xs = sorted(rng.sample(range(-4, 7), rng.randint(3, 5)))
+            ys = [F(0)]
+            for a, b in zip(xs, xs[1:]):
+                ys.append(ys[-1] + F(rng.randint(1, 6), rng.randint(1, 3)) * (b - a))
+            fn, family = PiecewiseLinearFn(tuple(zip(map(F, xs), ys))), expected_utility_model
+        else:
+            xs = [0, *sorted(rng.sample(range(1, 12), rng.randint(1, 4))), 12]
+            steps = [rng.randint(0, 5) for _ in xs[1:]]
+            if not any(steps):
+                continue
+            ys = [F(sum(steps[:k]), sum(steps)) for k in range(len(xs))]
+            fn, family = PiecewiseLinearFn(tuple((F(x, 12), y) for x, y in zip(xs, ys))), dual_model
+        models.append(family(fn, name=f"random-{seed}-{i}"))
+    return models
 
 
 @pytest.fixture(scope="session")

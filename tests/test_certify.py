@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -50,7 +51,8 @@ from riskprop.certify import (
 from riskprop import certify
 from riskprop.decompose import deductible_triple, proportional_triple, split_zero_mean
 from riskprop.orders import MpsStep
-from conftest import P, build_zoo
+from riskprop.serialize import dumps, report_to_obj
+from conftest import P, build_zoo, random_pl_models
 
 BUDGET = SearchBudget(max_n=4, exhaustive_n=4, trials=80, seed=0)
 ZOO = build_zoo()
@@ -166,6 +168,29 @@ class TestPremiumPropensity:
             models["expected_value"], loading_principle(F(1, 5)), BUDGET
         )
         assert r.verdict == HOLDS
+
+    # phase 1 tests the 6 grid payoffs of 2 states; the violations it misses on these
+    # models are left to the random rearrangement sweeps of phase 2
+    RANDOM_PHASE_BUDGET = SearchBudget(
+        max_n=7, exhaustive_n=2, trials=60, seed=3, value_grid=(F(-3), F(1, 2), F(5))
+    )
+    RANDOM_PHASE_DIGEST = "892fff1d9081a8af"
+
+    def test_random_phase_reports_unchanged(self):
+        """Premium reports on random piecewise-linear models, some found in phase 2, match a
+        recorded digest; every witness is a full-insurance witness and replays."""
+        budget, digest, phase2_hits = self.RANDOM_PHASE_BUDGET, hashlib.sha256(), 0
+        for m in random_pl_models(0, 40):
+            fi = certify._row("propensity", budget, m, kind="fi").violation
+            for pp in (fair_principle(), loading_principle(F(1, 5))):
+                r = check_premium_propensity(m, pp, budget)
+                digest.update(dumps(report_to_obj(r)).encode() + repr(r.witness).encode())
+                if r.violated:
+                    assert fi(dict(r.witness.payoffs)) is not None
+                    assert replay_witness(r, m, pp=pp)
+                    phase2_hits += r.trials_run > 6
+        assert phase2_hits > 0
+        assert digest.hexdigest()[:16] == self.RANDOM_PHASE_DIGEST
 
 
 class TestCompareWeak:

@@ -588,6 +588,47 @@ class TestExitTwoMessages:
             "model 'mean-variance' has no total evaluator",
         )
 
+    @pytest.mark.parametrize(
+        "prop, flags, message",
+        [
+            ("weak_ra", ["--principle", "loading", "--loading", "x"],
+             "--principle: applies only to --property premium_fi"),
+            ("weak_ra", ["--principle", "fair"], "--principle: applies only to --property premium_fi"),
+            ("fi", ["--loading", "1/3"], "--loading: applies only to --property premium_fi"),
+            ("premium_fi", ["--loading", "1/3"], "--loading: applies only with --principle loading"),
+            ("premium_fi", ["--principle", "fair", "--loading", "1/3"],
+             "--loading: applies only with --principle loading"),
+            ("premium_fi", ["--principle", "loading", "--loading", "-1"], "--loading: load must be >= 0"),
+        ],
+        ids=["both-on-weak-ra", "principle-on-weak-ra", "loading-on-fi", "loading-alone",
+             "loading-with-fair", "negative-loading"],
+    )
+    def test_bad_principle_flags(self, files, capsys, prop, flags, message):
+        argv = ["certify", "--property", prop, "--model", files["ev"], "--trials", "0", *flags]
+        self._fails(capsys, argv, message)
+
+    def _fails_briefly(self, capsys, argv, message):
+        """Exit 2 naming the field, with the echoed input cut short."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "more characters)" in err
+        assert "Traceback" not in err and len(err.encode()) < 500
+
+    def test_long_model_type_is_cut(self, files, capsys):
+        bad = files["write"]("m.json", {"type": "x" * 100_000})
+        self._fails_briefly(capsys, ["preference", bad, "--value", files["g"]],
+                            "m.json.type: expected one of eu, dual, mv, ev, got 'xxx")
+
+    @pytest.mark.parametrize("value", ["x" * 100_000, "1/0" + " " * 100_000], ids=["literal", "zero"])
+    def test_long_payoff_value_is_cut(self, files, capsys, value):
+        bad = files["write"]("x.json", {"values": [value, "1"]})
+        self._fails_briefly(capsys, ["order", bad, files["g"]], "x.json.values[0]: ")
+
+    def test_long_seed_is_cut(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("RISKPROP_SEED", "x" * 100_000)
+        argv = ["certify", "--property", "weak_ra", "--model", files["ev"], "--trials", "0"]
+        self._fails_briefly(capsys, argv, "RISKPROP_SEED: expected an integer, got 'xxx")
+
 
 class TestPropertyDispatch:
     """Every ``--property`` choice prints the library's report and exits 3 exactly on a violation."""
@@ -627,6 +668,14 @@ class TestPropertyDispatch:
         )
         argv = ["certify", "--property", "premium_fi", "--model", model_files["eu_convex"],
                 "--principle", "loading", "--loading", "1/3"]
+        self._matches(capsys, argv, report)
+
+    @pytest.mark.parametrize("principle, pp", [("fair", fair_principle()),
+                                               ("loading", loading_principle(F(1, 5)))])
+    def test_certify_premium_principle_defaults(self, capsys, model_files, principle, pp):
+        report = check_premium_propensity(self.MODELS["eu_convex"], pp, self.BUDGET)
+        argv = ["certify", "--property", "premium_fi", "--model", model_files["eu_convex"],
+                "--principle", principle]
         self._matches(capsys, argv, report)
 
     @pytest.mark.parametrize("pair", [("ev", "eu_concave"), ("eu_concave", "dual")])

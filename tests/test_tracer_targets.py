@@ -93,3 +93,5 @@ def test_traced_run_counts_the_model_kernels(tmp_path):
         assert out["totals"][f"preferences.{name}.calls"] > 0, name
     for name in ("check_propensity", "compare_propensity"):
         assert out["totals"][f"certify.{name}.calls"] > 0, name
+    # the insurance row calls the rearrangement sweep itself
+    assert out["totals"]["certify._sweep_alternatives.evaluated"] > 0
