@@ -34,20 +34,23 @@ Every stream runs two phases:
   random sample of them otherwise.  A sweep is one trial: the parts of
   its first violation, or None.
 
-Four devices change cost, never results.  The insurance propensity
-predicates test equal distributions of ``f`` and ``g``, then the strict
-value gap, then the structure (``f`` a contract of the kind on ``w``, for
-hedging a better hedge than ``g``, for the premium check the full
-insurance of ``w`` at the principle's price).  Phase 1 knows each split or
-spread instance's sums before its parts (``(E[h], h)`` for the split of
-a grid payoff ``h``; ``(f0, g0)`` for a spread pair, cached with its
-spread ``g0 = step.apply(f0)``), so it splits ``h`` or factors the pair
-into ``(w, f, g)`` only when the gap on the sums holds, and otherwise
-yields a trial with nothing to test.  Each search evaluates ``V``, or
-both sides ``(rho_B, rho_A)`` of a comparison, through one memo keyed
-on the laws of the payoffs, dropped when the search returns.  And a
-rearrangement sweep forms each ``w + g`` as integers, deduplicates on
-its law and builds payoffs only for a law it has not tested.
+Four devices change cost, never results.  Every ``(w, f, g)`` row, the
+insurance propensities and the full-insurance, hedging and dependence
+neutralities, shares one predicate: equal distributions of ``f`` and
+``g``, then the value gap (strict ``<`` for a propensity, ``!=`` for a
+neutrality), then the structure (``f`` a contract of the kind on ``w``,
+for hedging a better hedge than ``g``, for the premium check the full
+insurance of ``w`` at the principle's price, for dependence nothing).
+Phase 1 knows each split or spread instance's sums before its parts
+(``(E[h], h)`` for the split of a grid payoff ``h``; ``(f0, g0)`` for a
+spread pair, cached with its spread ``g0 = step.apply(f0)``), so it
+splits ``h`` or factors the pair into ``(w, f, g)`` only when the gap on
+the sums holds, and otherwise yields a trial with nothing to test.  Each
+search evaluates ``V``, or both sides ``(rho_B, rho_A)`` of a
+comparison, through one memo keyed on the laws of the payoffs, dropped
+when the search returns.  And a rearrangement sweep forms each ``w + g``
+as integers, deduplicates on its law and builds payoffs only for a law
+it has not tested.
 """
 
 from __future__ import annotations
@@ -486,19 +489,6 @@ def _random_instance(
     return w, Payoff(tuple(drawn[i] for i in range(n)))
 
 
-# the structures of the neutrality pairs (w, f, g)
-def _is_full_insurance(w: Payoff, f: Payoff, g: Payoff) -> bool:
-    return equal_in_distribution(f, g) and _kind_member("fi", f, w)
-
-
-def _is_better_hedge(w: Payoff, f: Payoff, g: Payoff) -> bool:
-    return better_hedge(f, g, w)
-
-
-def _is_rearrangement(w: Payoff, f: Payoff, g: Payoff) -> bool:
-    return equal_in_distribution(f, g)
-
-
 def _independent(rng: random.Random, budget: SearchBudget, n: int) -> tuple[Payoff, Payoff]:
     return _random_payoff(rng, budget.value_grid, n), _random_payoff(rng, budget.value_grid, n)
 
@@ -508,6 +498,28 @@ def _independent(rng: random.Random, budget: SearchBudget, n: int) -> tuple[Payo
 # or ``(rho_B(y, x), rho_A(y, x))`` in a comparison), the budget, the size cap
 # ``n_max`` of its grid and split sweeps, the propensity kind and the premium
 # principle, and returns the row's predicate, instance stream and notes
+
+
+def _pair_violation(gap, sides: Sides, kind, pp=None) -> Predicate:
+    """The predicate of a ``(w, f, g)`` row: ``g =d f``, then ``gap(*sides(w + f, w + g))`` (or
+    of a sweep's prebuilt sums), then what the row asks of ``f``: with ``pp``, the full
+    insurance of ``w`` at ``pp``'s price; for hedging, a better hedge than ``g``; for no
+    kind, nothing; else a contract of the kind on ``w``."""
+
+    def violation(parts: Parts, sums: Optional[Sums] = None) -> Optional[tuple]:
+        w, f, g = parts["w"], parts["f"], parts["g"]
+        if not equal_in_distribution(f, g):
+            return None
+        lhs, rhs = sides(*(sums or (w + f, w + g)))
+        if not gap(lhs, rhs):
+            return None
+        if pp is not None:
+            return (lhs, rhs) if f == -w - pp.base(-w) else None
+        if kind == "hedging":
+            return (lhs, rhs) if better_hedge(f, g, w) else None
+        return (lhs, rhs) if kind is None or _kind_member(kind, f, w) else None
+
+    return violation
 
 
 def _expectation_row(key, test, offset, sides, budget, n_max, kind, pp):
@@ -556,19 +568,7 @@ def _insurance_row(sides, budget, n_max, kind, pp):
     the time), or the parts of a rearrangement sweep's first violation.
     """
     kind = "fi" if pp else kind  # the premium check has no kind of its own
-
-    def violation(parts: Parts, sums: Optional[Sums] = None) -> Optional[tuple]:
-        w, f, g = parts["w"], parts["f"], parts["g"]
-        if not equal_in_distribution(f, g):
-            return None
-        lhs, rhs = sides(*(sums or (w + f, w + g)))
-        if not lhs < rhs:
-            return None
-        if pp is not None:
-            return (lhs, rhs) if f == -w - pp.base(-w) else None
-        if kind == "hedging":
-            return (lhs, rhs) if better_hedge(f, g, w) else None
-        return (lhs, rhs) if _kind_member(kind, f, w) else None
+    violation = _pair_violation(lt, sides, kind, pp)
 
     def trials() -> Iterator[Optional[Parts]]:
         if kind == "fi":
@@ -596,25 +596,19 @@ def _insurance_row(sides, budget, n_max, kind, pp):
     return violation, trials(), () if kind == "fi" else (CONTINUITY_NOTE,)
 
 
-def _pair_row(structure, offset, draw, splits, sides, budget, n_max, kind, pp):
-    """``structure(w, f, g)`` with ``V(w+f) != V(w+g)``: the splits if ``splits``, then per random
-    trial ``(w, f) = draw(rng, budget, n)`` against six rearrangements of ``f``, one trial each."""
-
-    def violation(parts: Parts) -> Optional[tuple]:
-        w, f, g = parts["w"], parts["f"], parts["g"]
-        if not structure(w, f, g):
-            return None
-        lhs, rhs = sides(w + f, w + g)
-        return (lhs, rhs) if lhs != rhs else None
+def _pair_row(kind, offset, sides, budget, n_max, _kind, _pp):
+    """A neutrality row: ``f`` of the kind (None: any ``f``) and ``g =d f`` with
+    ``V(w+f) != V(w+g)``: for fi the splits, then per random trial a ``(w, f)`` of the kind
+    (two independent payoffs for None) against six rearrangements of ``f``, one trial each."""
 
     def trials() -> Iterator[Optional[Parts]]:
-        yield from _split_hits(ne, sides, budget, n_max) if splits else ()
+        yield from _split_hits(ne, sides, budget, n_max) if kind == "fi" else ()
         for rng, n in _random_trials(budget, offset):
-            w, f = draw(rng, budget, n)
+            w, f = _random_instance(kind, rng, budget, n) if kind else _independent(rng, budget, n)
             for perm in _sampled_permutations(rng, f, 6):
                 yield {"w": w, "f": f, "g": _from_ints(perm, f.den)}
 
-    return violation, trials(), ()
+    return _pair_violation(ne, sides, kind), trials(), ()
 
 
 def _ev_row(sides, budget, n_max, kind, pp):
@@ -645,19 +639,13 @@ _ROWS: dict[str, tuple[Callable[..., tuple], str, bool]] = {
         partial(_expectation_row, "f", ne, 10_000), "V(E[f]) != V(f)", True
     ),
     "full_insurance_neutrality": (
-        partial(_pair_row, _is_full_insurance, 20_000, partial(_random_instance, "fi"), True),
-        "V(w+f) != V(w+g) with f full insurance, g =d f",
-        True,
+        partial(_pair_row, "fi", 20_000), "V(w+f) != V(w+g) with f full insurance, g =d f", True
     ),
     "hedging_neutrality": (
-        partial(_pair_row, _is_better_hedge, 30_000, partial(_random_instance, "cs"), False),
-        "V(w+f) != V(w+g) with f a better hedge than g",
-        True,
+        partial(_pair_row, "hedging", 30_000), "V(w+f) != V(w+g) with f a better hedge than g", True
     ),
     "dependence_neutrality": (
-        partial(_pair_row, _is_rearrangement, 40_000, _independent, False),
-        "V(w+f) != V(w+g) with g =d f",
-        True,
+        partial(_pair_row, None, 40_000), "V(w+f) != V(w+g) with g =d f", True
     ),
     "expected_value_representation": (
         _ev_row, "(V(f) >= V(g)) disagrees with (E[f] >= E[g])", True
@@ -693,7 +681,7 @@ def _row(head: str, budget: SearchBudget, m, mB=None, pp=None, kind=None, sides=
 
 def _check(head: str, budget: SearchBudget, m, mB=None, pp=None, kind=None) -> CertificateReport:
     """Validate a public check's inputs, build its row and search it."""
-    if kind is not None and kind not in PROPENSITY_KINDS:
+    if head in ("propensity", "compare_propensity") and kind not in PROPENSITY_KINDS:
         raise ValueError(f"kind must be one of {PROPENSITY_KINDS}, got {kind!r}")
     for model in (m,) if mB is None else (m, mB):
         _require_secular(model, head)

@@ -31,6 +31,7 @@ from .space import Payoff, equal_in_distribution
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VIOLATED = 3
+MAX_MESSAGE = 300  # characters of a diagnostic printed; the input it repeats may be any length
 
 
 def _json_int(text: str) -> Any:
@@ -67,7 +68,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise S.InputError(f"RISKPROP_SEED: expected an integer, got {S.quote(raw)}")
+        raise S.InputError(f"RISKPROP_SEED: expected an integer, got {raw!r}")
 
 
 def _budget_from_args(args: argparse.Namespace) -> C.SearchBudget:
@@ -239,6 +240,8 @@ def _run_preference(args: argparse.Namespace) -> tuple[Any, int]:
     if args.rho is not None:
         g, f = _load_payoff(args.rho[0]), _load_payoff(args.rho[1])
         return {"rho": S.format_fraction(rho(m, g, f))}, EXIT_OK
+    if m.family != "mv":
+        raise S.InputError(f"--mv-compare: needs a model of type mv, got {m.family}")
     f, g = _load_payoff(args.mv[0]), _load_payoff(args.mv[1])
     return {"comparison": mv_compare(f, g).value}, EXIT_OK
 
@@ -290,7 +293,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit(result, args.out)
         done = True
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = str(exc)
+        cut = f"... ({len(text) - MAX_MESSAGE} more characters)" if len(text) > MAX_MESSAGE else ""
+        print(f"error: {text[:MAX_MESSAGE]}{cut}", file=sys.stderr)
         return EXIT_INPUT
     finally:
         if created and not done:  # a failed command leaves no new file behind

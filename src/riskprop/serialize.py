@@ -49,15 +49,6 @@ class InputError(ValueError):
 
 
 MAX_DIGITS = 4300  # Python's default limit for converting between int and str
-MAX_QUOTED = 60  # characters of an input value an error message repeats
-
-
-def quote(value: Any) -> str:
-    """``repr(value)`` for an error message, cut to MAX_QUOTED characters with a note of the cut."""
-    text = repr(value)
-    if len(text) <= MAX_QUOTED:
-        return text
-    return f"{text[:MAX_QUOTED]}... ({len(text) - MAX_QUOTED} more characters)"
 
 
 # the digit groups of a rational string, loosely; Fraction itself rejects bad syntax
@@ -104,9 +95,9 @@ def parse_rational(value: Any, where: str) -> Fraction:
         try:
             return Fraction(value)
         except ValueError:  # its message repeats the whole literal
-            raise InputError(f"{where}: cannot parse rational from {quote(value)}")
+            raise InputError(f"{where}: cannot parse rational from {value!r}")
         except ZeroDivisionError:
-            raise InputError(f"{where}: zero denominator in {quote(value)}")
+            raise InputError(f"{where}: zero denominator in {value!r}")
     raise InputError(f"{where}: expected an int or rational string, got {type(value).__name__}")
 
 
@@ -174,7 +165,7 @@ def model_from_obj(obj: Any, where: str = "model") -> PreferenceModel:
             return (expected_utility_model if mtype == "eu" else dual_model)(fn, **named)
         except ValueError as exc:
             raise InputError(f"{where}.fn: {exc}")
-    raise InputError(f"{where}.type: expected one of eu, dual, mv, ev, got {quote(mtype)}")
+    raise InputError(f"{where}.type: expected one of eu, dual, mv, ev, got {mtype!r}")
 
 
 def model_to_obj(m: PreferenceModel) -> dict:

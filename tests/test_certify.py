@@ -115,6 +115,14 @@ class TestPropensity:
         with pytest.raises(ValueError):
             check_propensity("xx", models["expected_value"], BUDGET)
 
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_missing_kind_is_rejected_before_any_search(self, name):
+        m = ZOO[name]
+        for call in (lambda: check_propensity(None, m, BUDGET),
+                     lambda: compare_propensity(None, m, m, BUDGET)):
+            with pytest.raises(ValueError, match=r"kind must be one of \(.*\), got None"):
+                call()
+
 
 class TestNeutrality:
     def test_expected_value_all_hold(self, models):
@@ -141,6 +149,27 @@ class TestNeutrality:
         m = dual_model(PiecewiseLinearFn.identity(), name="dual-identity")
         r = check_neutrality(m, BUDGET)
         assert r.verdict == HOLDS
+
+    # hedging and dependence neutrality have no phase 1, so every violation they report
+    # comes from their random pairs
+    RANDOM_PHASE_BUDGET = SearchBudget(
+        max_n=6, exhaustive_n=2, trials=60, seed=3, value_grid=(F(-3), F(1, 2), F(5))
+    )
+    RANDOM_PHASE_DIGEST = "d3f888aa40843338"
+
+    def test_random_phase_reports_unchanged(self):
+        """Neutrality reports on random piecewise-linear models match a recorded digest; the
+        random pairs violate hedging and dependence neutrality on every model, and every
+        violated report replays."""
+        budget, digest = self.RANDOM_PHASE_BUDGET, hashlib.sha256()
+        for m in random_pl_models(0, 40):
+            r = check_neutrality(m, budget)
+            digest.update(dumps(report_to_obj(r)).encode() + repr(r.witness).encode())
+            assert r.details["hedging_neutrality"].violated
+            assert r.details["dependence_neutrality"].violated
+            for report in (r, *r.details.values()):
+                assert not report.violated or replay_witness(report, m)
+        assert digest.hexdigest()[:16] == self.RANDOM_PHASE_DIGEST
 
 
 class TestPremiumPropensity:

@@ -629,6 +629,23 @@ class TestExitTwoMessages:
         argv = ["certify", "--property", "weak_ra", "--model", files["ev"], "--trials", "0"]
         self._fails_briefly(capsys, argv, "RISKPROP_SEED: expected an integer, got 'xxx")
 
+    def test_long_model_name_is_cut_in_certify(self, files, capsys):
+        mv = files["write"]("mv.json", {"type": "mv", "name": "x" * 100_000})
+        argv = ["certify", "--property", "weak_ra", "--model", mv, "--trials", "0"]
+        self._fails_briefly(capsys, argv, "weak_risk_aversion needs a monotone, secular model "
+                                          "with a total evaluator; 'xxx")
+
+    def test_long_model_name_is_cut_in_preference(self, files, capsys):
+        mv = files["write"]("mv.json", {"type": "mv", "name": "x" * 100_000})
+        self._fails_briefly(capsys, ["preference", mv, "--value", files["g"]], "model 'xxx")
+
+    @pytest.mark.parametrize("mtype", ["eu", "dual", "ev"])
+    def test_mv_compare_needs_an_mv_model(self, files, capsys, mtype):
+        fn = {"fn": {"breakpoints": [["0", "0"], ["1", "1"]]}} if mtype != "ev" else {}
+        m = files["write"]("m.json", {"type": mtype, **fn})
+        argv = ["preference", m, "--mv-compare", files["f"], files["g"]]
+        self._fails(capsys, argv, f"--mv-compare: needs a model of type mv, got {mtype}")
+
 
 class TestPropertyDispatch:
     """Every ``--property`` choice prints the library's report and exits 3 exactly on a violation."""
